@@ -121,6 +121,8 @@ def fit_similarity(src, dst, allow_collinear: bool = False):
         raise DomainError("src and dst must be matching (N, 2) arrays")
     if src.shape[0] < 3:
         raise DomainError("need at least 3 landmarks, got %d" % src.shape[0])
+    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
+        raise DomainError("landmarks must hold only finite coordinates")
     if not allow_collinear:
         sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
         if sv[0] == 0.0 or sv[1] <= 1e-9 * sv[0]:

@@ -1,8 +1,8 @@
 """Point-set metric kernels: Hausdorff distance, box counting, probes.
 
-The Hausdorff kernel is exact: queries search outward over grid rings and a
-query is only retired once no farther ring can hold a closer point, or once
-its current distance can no longer raise the running maximum.
+The Hausdorff kernel is exact: every query point takes one nearest-neighbour
+query in a k-d tree over the reference set (scipy's cKDTree), and the
+directed distance is the largest of those nearest distances.
 """
 
 from __future__ import annotations
@@ -17,105 +17,14 @@ from . import ifs as ifs_mod
 from .errors import DomainError
 
 
-class GridIndex:
-    """Uniform-grid bucket index over a 2D point set (CSR layout).
-
-    Buckets map integer cell coordinates floor(p / cell) to the points they
-    contain; every point lands in exactly one bucket.
-    """
-
-    def __init__(self, points: np.ndarray, cell: float):
-        if cell <= 0.0:
-            raise DomainError("cell size must be positive, got %r" % (cell,))
-        self.points = points
-        self.cell = float(cell)
-        q = np.floor(points / cell).astype(np.int64)
-        self.qmin = q.min(axis=0)
-        q -= self.qmin
-        self.ny = int(q[:, 1].max()) + 1
-        key = q[:, 0] * self.ny + q[:, 1]
-        order = np.argsort(key, kind="stable")
-        self.order = order
-        sorted_keys = key[order]
-        self.ukeys, starts = np.unique(sorted_keys, return_index=True)
-        self.starts = starts
-        self.counts = np.diff(np.append(starts, len(sorted_keys)))
-
-    def cell_of(self, queries: np.ndarray) -> np.ndarray:
-        return np.floor(queries / self.cell).astype(np.int64) - self.qmin
-
-    @staticmethod
-    def _ring_offsets(ring: int) -> list:
-        if ring == 0:
-            return [(0, 0)]
-        offs = []
-        for dx in range(-ring, ring + 1):
-            offs.append((dx, -ring))
-            offs.append((dx, ring))
-        for dy in range(-ring + 1, ring):
-            offs.append((-ring, dy))
-            offs.append((ring, dy))
-        return offs
-
-    def count_ring(self, qcells: np.ndarray, ring: int,
-                   cap: int | None = None) -> np.ndarray:
-        """Per-query candidate count for the ring, without materializing it."""
-        total = np.zeros(qcells.shape[0], dtype=np.int64)
-        for dx, dy in self._ring_offsets(ring):
-            key = (qcells[:, 0] + dx) * self.ny + (qcells[:, 1] + dy)
-            pos = np.searchsorted(self.ukeys, key)
-            pos_c = np.clip(pos, 0, len(self.ukeys) - 1)
-            hit = self.ukeys[pos_c] == key
-            if not hit.any():
-                continue
-            hq = np.nonzero(hit)[0]
-            count = self.counts[pos_c[hq]]
-            if cap is not None:
-                count = np.minimum(count, cap)
-            total[hq] += count
-        return total
-
-    def gather_ring(self, qcells: np.ndarray, ring: int, cap: int | None = None):
-        """Candidate points in the ring-perimeter cells around each query cell.
-
-        Returns (query ids, point indices) as flat ragged arrays, or
-        (None, None) when the ring holds no points for any query.  With cap
-        set, at most `cap` points per (query, cell) pair are returned, which
-        yields an upper estimate of the nearest distance.
-        """
-        offs = self._ring_offsets(ring)
-        qids_all = []
-        pidx_all = []
-        for dx, dy in offs:
-            key = (qcells[:, 0] + dx) * self.ny + (qcells[:, 1] + dy)
-            pos = np.searchsorted(self.ukeys, key)
-            pos_c = np.clip(pos, 0, len(self.ukeys) - 1)
-            hit = self.ukeys[pos_c] == key
-            if not hit.any():
-                continue
-            hq = np.nonzero(hit)[0]
-            start = self.starts[pos_c[hq]]
-            count = self.counts[pos_c[hq]]
-            if cap is not None:
-                count = np.minimum(count, cap)
-            total = int(count.sum())
-            qids = np.repeat(hq, count)
-            base = np.repeat(start, count)
-            inner = np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-            pidx = self.order[base + inner]
-            qids_all.append(qids)
-            pidx_all.append(pidx)
-        if not qids_all:
-            return None, None
-        return np.concatenate(qids_all), np.concatenate(pidx_all)
-
-
 def _as_pointset(pts, name: str) -> np.ndarray:
     arr = np.asarray(pts, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("%s must be an (N, 2) point array" % name)
     if arr.shape[0] == 0:
         raise DomainError("%s must be non-empty" % name)
+    if not np.isfinite(arr).all():
+        raise DomainError("%s must hold only finite coordinates" % name)
     return arr
 
 
@@ -129,114 +38,18 @@ def _brute_directed(queries: np.ndarray, ref: np.ndarray) -> float:
 
 
 def directed_hausdorff(queries: np.ndarray, ref: np.ndarray,
-                       cell: float | None = None, chunk: int = 250_000,
-                       prune: bool = True) -> float:
-    """Exact max over queries of the distance to the nearest ref point."""
+                       cell: float | None = None) -> float:
+    """Exact max over queries of the distance to the nearest ref point.
+
+    One exact k-d tree nearest-neighbour query per point.  `cell` is accepted
+    for compatibility and ignored: every input size takes the same path.
+    """
+    from scipy.spatial import cKDTree  # deferred: keeps `import fibfrac` light
+
     queries = _as_pointset(queries, "queries")
     ref = _as_pointset(ref, "ref")
-    if cell is None and queries.shape[0] * ref.shape[0] <= 4_000_000:
-        # small problems go straight to the exact quadratic scan; passing an
-        # explicit cell forces the grid path at any size
-        return _brute_directed(queries, ref)
-    lo = np.minimum(queries.min(axis=0), ref.min(axis=0))
-    hi = np.maximum(queries.max(axis=0), ref.max(axis=0))
-    union_diag = math.hypot(hi[0] - lo[0], hi[1] - lo[1])
-    if union_diag == 0.0:
-        return 0.0
-    best_max = 0.0
-    if prune:
-        # seed the running maximum by brute force over a small subsample so
-        # that most queries certify as soon as any neighbor beats it; this
-        # bounds the ring expansion even when the answer spans many cells
-        step = max(queries.shape[0] // 64, 1)
-        if step % 2 == 0:
-            # iterated point sets interleave two point families; an even
-            # stride samples only one of them and can badly underestimate
-            step += 1
-        sub = queries[::step]
-        best_max = _brute_directed(sub, ref)
-        if sub.shape[0] == queries.shape[0]:
-            return best_max
-    if cell is None:
-        if best_max > 1e-9 * union_diag:
-            # the sampled maximum fixes the answer's scale, so size the grid
-            # directly at it: a grid much finer than the answer forces long
-            # ring walks, and one much coarser packs clustered points into a
-            # few fat cells whose candidate lists blow up the gather volume
-            cell = min(best_max, union_diag / 8.0)
-            grid = GridIndex(ref, cell)
-        else:
-            rlo = ref.min(axis=0)
-            rhi = ref.max(axis=0)
-            area = (rhi[0] - rlo[0]) * (rhi[1] - rlo[1])
-            cell = math.sqrt(2.0 * area / ref.shape[0]) if area > 0.0 else 0.0
-            cell = max(cell, union_diag / 4096.0)
-            grid = GridIndex(ref, cell)
-            # clustered sets occupy far fewer cells than the uniform-density
-            # estimate assumes; refine until single buckets stay small
-            while int(grid.counts.max()) > 64 and cell > union_diag / 1_048_576.0:
-                cell *= 0.5
-                grid = GridIndex(ref, cell)
-    else:
-        grid = GridIndex(ref, cell)
-    max_ring = int(union_diag / cell) + 3
-
-    def ring_scan(qc, cells, dmin, cap, floor):
-        """Expand rings until every query certifies; returns final dmin.
-
-        With a cap the returned values are upper estimates (sound for
-        pruning against `floor`, not for reporting); without a cap they are
-        exact for every query not pruned by `floor`.
-        """
-        active = np.arange(qc.shape[0])
-        ring = 0
-        while active.size:
-            # slice the active set so each gather stays near the pair budget
-            # no matter how unevenly the ref points bunch up
-            csum = np.cumsum(grid.count_ring(cells[active], ring, cap=cap))
-            start = 0
-            while start < active.size:
-                base = int(csum[start - 1]) if start else 0
-                end = int(np.searchsorted(csum, base + 4_000_000, side="right")) + 1
-                end = min(max(end, start + 1), active.size)
-                sel = active[start:end]
-                start = end
-                qids, pidx = grid.gather_ring(cells[sel], ring, cap=cap)
-                if qids is not None:
-                    d2 = ((qc[sel][qids] - ref[pidx]) ** 2).sum(axis=1)
-                    np.minimum.at(dmin, sel[qids], np.sqrt(d2))
-            # a ring at index r only holds points at distance >= (r-1)*cell,
-            # so dmin <= ring*cell certifies the current minimum
-            certified = dmin[active] <= ring * cell
-            if floor > 0.0:
-                # queries below the running maximum cannot change the result
-                certified |= dmin[active] < floor
-            active = active[~certified]
-            ring += 1
-            if ring > max_ring and active.size:
-                raise RuntimeError("ring search exceeded the grid extent")
-        return dmin
-
-    for c0 in range(0, queries.shape[0], chunk):
-        qc = queries[c0 : c0 + chunk]
-        cells = grid.cell_of(qc)
-        if prune and best_max > 1e-9 * union_diag:
-            # cheap witness pass: a few points per cell are enough to rule
-            # out the bulk of the queries against the current maximum; with
-            # a near-zero floor it cannot prune anything, so skip it
-            est = ring_scan(qc, cells, np.full(qc.shape[0], np.inf),
-                            cap=4, floor=best_max)
-            keep = np.nonzero(est >= best_max)[0]
-            if keep.size == 0:
-                continue
-            qc = qc[keep]
-            cells = cells[keep]
-        dmin = ring_scan(qc, cells, np.full(qc.shape[0], np.inf),
-                         cap=None, floor=best_max if prune else 0.0)
-        m = float(dmin.max())
-        if m > best_max:
-            best_max = m
-    return best_max
+    dist, _ = cKDTree(ref).query(queries, k=1)
+    return float(dist.max())
 
 
 def hausdorff_distance(a, b) -> float:

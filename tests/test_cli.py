@@ -226,6 +226,16 @@ def test_verify_words_level(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_verify_full_level(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--level", "full", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is True
+    assert rep["level"] == "full"
+    assert len(rep["checks"]) == 24
+    assert all(c["passed"] for c in rep["checks"])
+
+
 def test_verify_negative_control(tmp_path, capsysbinary):
     out = tmp_path / "r.json"
     assert run(["verify", "--level", "words", "--negative-control",

@@ -81,6 +81,19 @@ def test_fit_input_validation():
         ifsmod.fit_similarity(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["src", "dst"])
+@pytest.mark.parametrize("allow_collinear", [False, True])
+def test_fit_rejects_non_finite_landmarks(bad, side, allow_collinear):
+    # unchecked, NaN landmarks leak numpy's LinAlgError from the SVD
+    good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    broken = good.copy()
+    broken[2, 0] = bad
+    src, dst = (broken, good) if side == "src" else (good, broken)
+    with pytest.raises(DomainError):
+        ifsmod.fit_similarity(src, dst, allow_collinear=allow_collinear)
+
+
 def test_right_angle_map_table():
     system = ifsmod.derive_ifs(2, PI2)
     assert system.parity == "even"

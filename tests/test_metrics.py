@@ -1,10 +1,17 @@
 """Hausdorff kernel exactness, box counting, and the convergence probes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import fibfrac
 from fibfrac import ifs as ifsmod
 from fibfrac import metrics
 from fibfrac.errors import DomainError
@@ -46,7 +53,7 @@ def test_directed_matches_brute_force():
 
 
 def test_grid_path_matches_brute_force():
-    # an explicit cell size forces the ring search even on small inputs
+    # cell= is still accepted and changes nothing: the answer stays exact
     rng = np.random.default_rng(23)
     for trial in range(25):
         q, r = random_pair(rng, clustered=trial % 3 == 0)
@@ -92,35 +99,75 @@ def test_pointset_validation():
         metrics.directed_hausdorff(np.zeros((0, 2)), ok)
     with pytest.raises(DomainError):
         metrics.directed_hausdorff(np.zeros((3, 3)), ok)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(bad):
+    # unchecked, a NaN drops out of the max and reads as distance 0.0
+    ok = [[0.0, 0.0], [1.0, 0.0]]
+    broken = [[bad, 0.0], [1.0, 0.0]]
     with pytest.raises(DomainError):
-        metrics.GridIndex(ok, 0.0)
+        metrics.hausdorff_distance(ok, broken)
+    with pytest.raises(DomainError):
+        metrics.hausdorff_distance(broken, ok)
+    with pytest.raises(DomainError):
+        metrics.directed_hausdorff(broken, ok)
+    with pytest.raises(DomainError):
+        metrics.box_count(broken, 0.5)
 
 
-def test_grid_index_rings():
-    rng = np.random.default_rng(41)
-    pts = rng.uniform(0, 10, size=(500, 2))
-    grid = metrics.GridIndex(pts, 1.0)
-    assert len(grid._ring_offsets(0)) == 1
-    assert len(grid._ring_offsets(1)) == 8
-    assert len(grid._ring_offsets(3)) == 24
-    qcells = grid.cell_of(pts[:20])
-    for ring in (0, 1, 2):
-        counts = grid.count_ring(qcells, ring)
-        qids, pidx = grid.gather_ring(qcells, ring)
-        got = np.bincount(qids, minlength=20)
-        assert np.array_equal(got, counts)
-    # ring 0 must return every point of the query's own cell
-    qids, pidx = grid.gather_ring(qcells[:1], 0)
-    own = np.flatnonzero((grid.cell_of(pts) == qcells[0]).all(axis=1))
-    assert set(pidx) == set(own)
+def test_import_does_not_load_scipy():
+    # scipy is imported by the Hausdorff kernel on first use, not at import
+    src = os.path.dirname(os.path.dirname(fibfrac.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, fibfrac.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-def test_grid_index_cap_limits_candidates():
-    pts = np.zeros((50, 2))  # one crowded bucket
-    pts[:, 0] = np.linspace(0, 0.09, 50)
-    grid = metrics.GridIndex(pts, 1.0)
-    qids, pidx = grid.gather_ring(grid.cell_of(pts[:1]), 0, cap=4)
-    assert pidx.size == 4
+COORDS = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pointsets(draw):
+    """Small 2D point sets, including duplicates, lattices and collinear sets."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["general", "duplicates", "lattice", "collinear"]))
+    if kind == "collinear":
+        origin = draw(hnp.arrays(np.float64, 2, elements=COORDS))
+        direction = draw(hnp.arrays(np.float64, 2, elements=COORDS))
+        t = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 2.0)))
+        return origin + t[:, None] * direction
+    if kind == "lattice":
+        return draw(hnp.arrays(np.float64, (n, 2),
+                               elements=st.integers(-3, 3).map(float)))
+    pts = draw(hnp.arrays(np.float64, (n, 2), elements=COORDS))
+    if kind == "duplicates":
+        idx = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))
+        pts = pts[idx]
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointsets(), pointsets())
+@example(np.array([[1.0, 2.0]]), np.array([[-3.0, 0.5]]))
+@example(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [1.0, 2.0]]))
+@example(np.zeros((40, 2)), np.ones((1, 2)))
+def test_directed_equals_brute_force_property(q, r):
+    assert metrics.directed_hausdorff(q, r) == metrics._brute_directed(q, r)
+    assert metrics.directed_hausdorff(q, q) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointsets(), pointsets(), pointsets())
+def test_hausdorff_metric_property(a, b, c):
+    dab = metrics.hausdorff_distance(a, b)
+    assert metrics.hausdorff_distance(a, a) == 0.0
+    assert metrics.hausdorff_distance(b, a) == dab
+    dac = metrics.hausdorff_distance(a, c)
+    dcb = metrics.hausdorff_distance(c, b)
+    assert dab <= (dac + dcb) * (1.0 + 1e-12)
 
 
 def test_box_count_hand_values():
