@@ -364,6 +364,12 @@ def _dim_rows(alphas) -> list:
     return rows
 
 
+def _dim_csv(rows) -> bytes:
+    lines = ["alpha,R,r_plus,aspect_limit,dimension"]
+    lines += [",".join(_fmt17(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 def cmd_dim(cfg: RunConfig) -> int:
     rows = _dim_rows(cfg.alphas)
     if cfg.fmt == "json":
@@ -375,9 +381,7 @@ def cmd_dim(cfg: RunConfig) -> int:
         ]
         data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
     else:
-        lines = ["alpha,R,r_plus,aspect_limit,dimension"]
-        lines += [",".join(_fmt17(v) for v in row) for row in rows]
-        data = ("\n".join(lines) + "\n").encode("ascii")
+        data = _dim_csv(rows)
     _deliver(data, cfg.out)
     if cfg.plot is not None:
         graph = np.array([[a, s] for a, _, _, _, s in rows])
@@ -570,8 +574,10 @@ def _checks_dim(cfg: RunConfig, rng: np.random.Generator) -> list:
 
     worst = 0.0
     for _ in range(20):
-        a = rng.random((rng.integers(2, 60), 2)) * 3.0
-        b = rng.random((rng.integers(2, 60), 2)) * 3.0
+        # 50-400 points span several k-d tree leaves, so an approximate
+        # search would show here
+        a = rng.random((rng.integers(50, 401), 2)) * 3.0
+        b = rng.random((rng.integers(50, 401), 2)) * 3.0
         worst = max(worst, abs(metrics.hausdorff_distance(a, b)
                                - max(metrics._brute_directed(a, b),
                                      metrics._brute_directed(b, a))))
@@ -654,11 +660,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         results = list(ex.map(task, cfg.alphas))
 
     if "dim" in cfg.what:
-        rows = _dim_rows(cfg.alphas)
-        lines = ["alpha,R,r_plus,aspect_limit,dimension"]
-        lines += [",".join(_fmt17(v) for v in row) for row in rows]
         atomic_write(os.path.join(cfg.out, "dim.csv"),
-                     ("\n".join(lines) + "\n").encode("ascii"))
+                     _dim_csv(_dim_rows(cfg.alphas)))
     for idx, res in enumerate(results):
         if "ifs" in res:
             atomic_write(os.path.join(cfg.out, "ifs_%02d.json" % idx), res["ifs"])

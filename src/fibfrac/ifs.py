@@ -205,24 +205,28 @@ class _Skeleton:
         use_l = (False, False, False, True, True)
         return offsets, orders, use_l
 
-    def _step(self, m):
-        a = self.alpha
+    def _walk(self, m):
+        """Part frames, the six junctions and the net turn of f_m's assembly."""
         offsets, orders, use_l = self._part_plan(m)
         turn = 0
-        junction = np.zeros(2)
-        pts = [junction.copy()]
+        junctions = [np.zeros(2)]
+        frames = []
         for k in range(5):
             sub = orders[k]
             flip = offsets[k] % 2 == 1
             vsub = self.vl[sub] if use_l[k] else self.v[sub]
             ksub = self.Kl[sub] if use_l[k] else self.K[sub]
-            frame = _rot(turn * a) @ (_MIRROR if flip else np.eye(2))
-            junction = junction + frame @ vsub
-            pts.append(junction.copy())
+            frames.append(_rot(turn * self.alpha) @ (_MIRROR if flip else np.eye(2)))
+            junctions.append(junctions[-1] + frames[-1] @ vsub)
             turn = turn + (-ksub if flip else ksub)
-        self.v[m] = pts[-1].copy()
+        return frames, junctions, turn
+
+    def _step(self, m):
+        a = self.alpha
+        _, junctions, turn = self._walk(m)
+        self.v[m] = junctions[-1]
         self.K[m] = turn
-        self.H[m] = np.array(pts)
+        self.H[m] = np.array(junctions)
         # l_m differs from f_m only in its last two symbols, so rebuild the
         # last two segments with the swapped symbols at the same positions
         length = self.L[m]
@@ -246,21 +250,12 @@ class _Skeleton:
 
     def part_hexagons(self, m):
         """Whole-curve hexagon and the five parts' own junction hexagons."""
-        a = self.alpha
-        offsets, orders, use_l = self._part_plan(m)
-        turn = 0
-        junction = np.zeros(2)
+        _, orders, use_l = self._part_plan(m)
+        frames, junctions, _ = self._walk(m)
         parts = []
         for k in range(5):
-            sub = orders[k]
-            flip = offsets[k] % 2 == 1
-            hsub = self.Hl[sub] if use_l[k] else self.H[sub]
-            vsub = self.vl[sub] if use_l[k] else self.v[sub]
-            ksub = self.Kl[sub] if use_l[k] else self.K[sub]
-            frame = _rot(turn * a) @ (_MIRROR if flip else np.eye(2))
-            parts.append(junction + hsub @ frame.T)
-            junction = junction + frame @ vsub
-            turn = turn + (-ksub if flip else ksub)
+            hsub = self.Hl[orders[k]] if use_l[k] else self.H[orders[k]]
+            parts.append(junctions[k] + hsub @ frames[k].T)
         return self.H[m], parts
 
 
@@ -403,30 +398,12 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     """Convex hull vertices in counterclockwise order (monotone chain).
 
     Collinear boundary points are dropped.  Degenerate inputs return fewer
-    than 3 vertices.
+    than 3 vertices.  The scan is sequential Python, meant for the few dozen
+    points of the attractor hull iteration.
     """
     pts = np.unique(np.asarray(pts, dtype=np.float64), axis=0)
     if pts.shape[0] <= 2:
         return pts
-    # reject points strictly inside the octagon of axis/diagonal extremes
-    # before the sequential scan; only candidates near the boundary remain
-    proj = np.column_stack(
-        [pts[:, 0], pts[:, 1], pts[:, 0] + pts[:, 1], pts[:, 0] - pts[:, 1]]
-    )
-    ext = np.unique(np.concatenate([proj.argmin(axis=0), proj.argmax(axis=0)]))
-    if ext.size >= 3:
-        oct_pts = pts[ext]
-        c = oct_pts.mean(axis=0)
-        oct_pts = oct_pts[
-            np.argsort(np.arctan2(oct_pts[:, 1] - c[1], oct_pts[:, 0] - c[0]))
-        ]
-        inside = np.ones(pts.shape[0], dtype=bool)
-        for j in range(oct_pts.shape[0]):
-            ex, ey = oct_pts[(j + 1) % oct_pts.shape[0]] - oct_pts[j]
-            rx = pts[:, 0] - oct_pts[j, 0]
-            ry = pts[:, 1] - oct_pts[j, 1]
-            inside &= ex * ry - ey * rx > 0.0
-        pts = pts[~inside]
 
     def chain(seq):
         out = []
@@ -445,6 +422,25 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _attractor_hull(ifs: IFS) -> np.ndarray:
+    """Convex hull of the attractor, the fixed point of K -> conv(K u f_k(K)).
+
+    Starts from the chord seeds, which lie on the attractor, so every iterate
+    stays inside the true hull.  Stops once each new vertex lies within
+    1e-14 of the chord length of an old one; vertex positions are compared
+    because round-off edges make the edge normals unreliable.
+    """
+    hull = ifs.frame.seeds()
+    for _ in range(200):
+        grown = _convex_hull(np.vstack([hull] + [m.apply(hull) for m in ifs.maps]))
+        diff = grown[:, None, :] - hull[None, :, :]
+        moved = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).max()
+        hull = grown
+        if moved <= 1e-14 * CHORD_LENGTH:
+            break
+    return hull
+
+
 def _support_directions(hull: np.ndarray, extra_angles=()) -> np.ndarray:
     """Outward unit normals of the hull edges, merged and angle-sorted.
 
@@ -452,11 +448,13 @@ def _support_directions(hull: np.ndarray, extra_angles=()) -> np.ndarray:
     length-weighted mean so that adjacent support lines always intersect
     cleanly.  extra_angles are appended unless an existing family already
     covers them.  Degenerate hulls fall back to a slab around the point set.
+    Edges shorter than 1e-12 of the perimeter are round-off between nearly
+    coincident vertices; their directions are noise and they are skipped.
     """
     if hull.shape[0] >= 3:
         edges = np.roll(hull, -1, axis=0) - hull
         lens = np.hypot(edges[:, 0], edges[:, 1])
-        keep = lens > 0.0
+        keep = lens > 1e-12 * lens.sum()
         ang = np.arctan2(edges[keep, 1], edges[keep, 0]) - math.pi / 2
         wts = lens[keep]
     else:
@@ -505,10 +503,6 @@ def _support_directions(hull: np.ndarray, extra_angles=()) -> np.ndarray:
                 filled.append(a + (b - a) / 2.0)
                 widest = max(widest, b - a)
         angles = sorted(x % (2.0 * math.pi) for x in filled)
-    if len(angles) > 512:
-        weights = {a: w for a, w in merged}
-        angles.sort(key=lambda a: weights.get(a, math.inf), reverse=True)
-        angles = angles[:512]
     ang = np.sort(np.asarray(angles, dtype=np.float64))
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
@@ -561,16 +555,17 @@ def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     """Check the open set condition with an invariant support polygon.
 
     The open set V is the polygon bounded in the edge directions of the
-    depth-8 attractor sample's convex hull (plus the chord slab), so the
-    direction set follows the attractor's own frame for every family index
-    and drawing parity.  Offsets start from the hull supports and are
-    inflated until V contains its own five images, then containment and
-    pairwise interior disjointness are measured on the image polygons.
+    attractor's convex hull (plus the chord slab), so the direction set
+    follows the attractor's own frame for every family index and drawing
+    parity.  The hull comes from the five maps themselves, as the fixed
+    point of K -> conv(K u f_k(K)), not from a point sample.  Offsets start
+    from the hull supports and are inflated until V contains its own five
+    images, then containment and pairwise interior disjointness are
+    measured on the image polygons.
     margin is the slack left under `tolerance`; positive margin means both
     checks passed.
     """
-    sample = attractor(ifs, depth=8)
-    hull = _convex_hull(sample)
+    hull = _attractor_hull(ifs)
     dirc = ifs.frame.chord_direction
     normals = _support_directions(
         hull, extra_angles=(dirc + math.pi / 2, dirc - math.pi / 2)

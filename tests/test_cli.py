@@ -236,6 +236,29 @@ def test_verify_full_level(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_hausdorff_check_catches_approximate_kernel(monkeypatch):
+    # an eps=1.0 k-d tree query may return a neighbour up to twice as far as
+    # the nearest one; the check's point sets are large enough to see that
+    from scipy.spatial import cKDTree
+
+    from fibfrac import metrics
+
+    def run_check():
+        checks = cli._checks_dim(None, np.random.default_rng(20240817))
+        return next(c for c in checks
+                    if c["name"] == "dim.hausdorff_grid_vs_brute")
+
+    exact = run_check()
+    assert exact["passed"] and exact["margin"] == 1.0
+
+    def approximate(queries, ref, cell=None):
+        dist, _ = cKDTree(ref).query(queries, k=1, eps=1.0)
+        return float(dist.max())
+
+    monkeypatch.setattr(metrics, "directed_hausdorff", approximate)
+    assert run_check()["passed"] is False
+
+
 def test_verify_negative_control(tmp_path, capsysbinary):
     out = tmp_path / "r.json"
     assert run(["verify", "--level", "words", "--negative-control",
