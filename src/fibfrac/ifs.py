@@ -441,98 +441,19 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
     return hull
 
 
-def _support_directions(hull: np.ndarray, extra_angles=()) -> np.ndarray:
-    """Outward unit normals of the hull edges, merged and angle-sorted.
-
-    Near-parallel edge families (within 1e-6 rad) are merged to their
-    length-weighted mean so that adjacent support lines always intersect
-    cleanly.  extra_angles are appended unless an existing family already
-    covers them.  Degenerate hulls fall back to a slab around the point set.
-    Edges shorter than 1e-12 of the perimeter are round-off between nearly
-    coincident vertices; their directions are noise and they are skipped.
-    """
-    if hull.shape[0] >= 3:
-        edges = np.roll(hull, -1, axis=0) - hull
-        lens = np.hypot(edges[:, 0], edges[:, 1])
-        keep = lens > 1e-12 * lens.sum()
-        ang = np.arctan2(edges[keep, 1], edges[keep, 0]) - math.pi / 2
-        wts = lens[keep]
-    else:
-        d = hull[-1] - hull[0]
-        base = math.atan2(d[1], d[0]) if np.hypot(*d) > 0.0 else 0.0
-        ang = np.array([base, base + math.pi / 2, base + math.pi,
-                        base - math.pi / 2])
-        wts = np.ones(4)
-    ang = np.mod(ang, 2.0 * math.pi)
-    order = np.argsort(ang)
-    ang = ang[order]
-    wts = wts[order]
-    merged = []
-    g_ang, g_wt = ang[0], wts[0]
-    for a, w in zip(ang[1:], wts[1:]):
-        if a - g_ang <= 1e-6:
-            g_ang = (g_ang * g_wt + a * w) / (g_wt + w)
-            g_wt += w
-        else:
-            merged.append((g_ang, g_wt))
-            g_ang, g_wt = a, w
-    merged.append((g_ang, g_wt))
-    # first and last families may also wrap around 2*pi
-    if len(merged) >= 2 and merged[0][0] + 2.0 * math.pi - merged[-1][0] <= 1e-6:
-        (a0, w0), (a1, w1) = merged[0], merged.pop()
-        merged[0] = (((a0 + 2.0 * math.pi) * w0 + a1 * w1) / (w0 + w1)
-                     % (2.0 * math.pi), w0 + w1)
-    angles = [a for a, _ in merged]
-    for extra in extra_angles:
-        extra = extra % (2.0 * math.pi)
-        if all(min(abs(extra - a), 2.0 * math.pi - abs(extra - a)) > 1e-6
-               for a in angles):
-            angles.append(extra)
-    # bisect any angular gap wide enough to leave the polygon unbounded
-    # (near-collinear samples produce only two antipodal families)
-    angles.sort()
-    widest = math.inf
-    while widest > 0.9 * math.pi:
-        widest = 0.0
-        filled = []
-        count = len(angles)
-        for j, a in enumerate(angles):
-            filled.append(a)
-            b = angles[(j + 1) % count] + (2.0 * math.pi if j == count - 1 else 0.0)
-            if b - a > 0.9 * math.pi:
-                filled.append(a + (b - a) / 2.0)
-                widest = max(widest, b - a)
-        angles = sorted(x % (2.0 * math.pi) for x in filled)
-    ang = np.sort(np.asarray(angles, dtype=np.float64))
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def _support_polygon_corners(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Corners of the convex polygon {x : normals @ x <= offsets}.
-
-    Normals must be sorted by angle; consecutive half-plane boundaries meet
-    in the polygon's corners.
-    """
-    n2 = np.roll(normals, -1, axis=0)
-    o2 = np.roll(offsets, -1)
-    det = normals[:, 0] * n2[:, 1] - normals[:, 1] * n2[:, 0]
-    if np.any(np.abs(det) < 1e-12):
-        raise DegenerateLandmarksError(
-            "support polygon degenerates: parallel adjacent half-planes"
-        )
-    cx = (offsets * n2[:, 1] - o2 * normals[:, 1]) / det
-    cy = (normals[:, 0] * o2 - n2[:, 0] * offsets) / det
-    return np.column_stack([cx, cy])
+def _edge_normals(poly: np.ndarray) -> np.ndarray:
+    """Outward unit normals of the non-zero edges of a counterclockwise polygon."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    lens = np.hypot(edges[:, 0], edges[:, 1])
+    edges = edges[lens > 0.0] / lens[lens > 0.0, None]
+    return np.column_stack([edges[:, 1], -edges[:, 0]])
 
 
 def _polygon_overlap(pa: np.ndarray, pb: np.ndarray) -> float:
     """Separating-axis overlap depth of two convex polygons (<= 0: separated)."""
     depth = math.inf
     for poly in (pa, pb):
-        edges = np.roll(poly, -1, axis=0) - poly
-        lens = np.hypot(edges[:, 0], edges[:, 1])
-        edges = edges[lens > 0.0] / lens[lens > 0.0, None]
-        axes = np.column_stack([-edges[:, 1], edges[:, 0]])
+        axes = _edge_normals(poly)
         qa = pa @ axes.T
         qb = pb @ axes.T
         gaps = np.minimum(qa.max(axis=0), qb.max(axis=0)) - np.maximum(
@@ -552,36 +473,31 @@ class OSCReport:
 
 
 def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
-    """Check the open set condition with an invariant support polygon.
+    """Check the open set condition with V the interior of the attractor's hull.
 
-    The open set V is the polygon bounded in the edge directions of the
-    attractor's convex hull (plus the chord slab), so the direction set
-    follows the attractor's own frame for every family index and drawing
-    parity.  The hull comes from the five maps themselves, as the fixed
-    point of K -> conv(K u f_k(K)), not from a point sample.  Offsets start
-    from the hull supports and are inflated until V contains its own five
-    images, then containment and pairwise interior disjointness are
-    measured on the image polygons.
+    The hull is the fixed point of K -> conv(K u f_k(K)), built from the five
+    maps themselves, so it contains its own five images: containment is
+    measured as the largest excess of an image's support over the hull's
+    support along the hull's edge normals, and interior disjointness as the
+    largest separating-axis overlap between two images.  A hull that is a
+    segment, or no wider than `tolerance` along some edge normal, cannot
+    resolve an overlap; V is then the square with the chord as its diagonal,
+    which each map carries to the square on its own sub-chord.
     margin is the slack left under `tolerance`; positive margin means both
     checks passed.
     """
-    hull = _attractor_hull(ifs)
-    dirc = ifs.frame.chord_direction
-    normals = _support_directions(
-        hull, extra_angles=(dirc + math.pi / 2, dirc - math.pi / 2)
-    )
-    offsets = (hull @ normals.T).max(axis=0)
-    scale_ref = float(np.max(np.abs(offsets))) + 1.0
-    for _ in range(200):
-        corners = _support_polygon_corners(normals, offsets)
-        images = np.vstack([m.apply(corners) for m in ifs.maps])
-        grown = np.maximum(offsets, (images @ normals.T).max(axis=0))
-        if np.all(grown - offsets <= 1e-15 * scale_ref):
-            offsets = grown
-            break
-        offsets = grown
-    corners = _support_polygon_corners(normals, offsets)
-    image_polys = [m.apply(corners) for m in ifs.maps]
+    V = _attractor_hull(ifs)
+    normals = _edge_normals(V)
+    reach = V @ normals.T
+    # a two-vertex hull has width 0 across its own edge
+    if float((reach.max(axis=0) - reach.min(axis=0)).min()) <= tolerance:
+        s0, s1 = ifs.frame.seeds()
+        mid, half = (s0 + s1) / 2.0, (s1 - s0) / 2.0
+        perp = np.array([-half[1], half[0]])
+        V = np.array([s0, mid - perp, s1, mid + perp])
+        normals = _edge_normals(V)
+    offsets = (V @ normals.T).max(axis=0)
+    image_polys = [m.apply(V) for m in ifs.maps]
     worst_violation = max(
         float(((poly @ normals.T) - offsets).max()) for poly in image_polys
     )

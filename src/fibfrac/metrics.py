@@ -59,10 +59,14 @@ def hausdorff_distance(a, b) -> float:
     return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
-def _box_count_offset(pts: np.ndarray, eps: float, frac: float) -> int:
-    lo = pts.min(axis=0)
-    cells = np.floor((pts - lo + frac * eps) / eps).astype(np.int64)
-    span = cells[:, 1].max() - cells[:, 1].min() + 1
+def _box_count_offset(rel: np.ndarray, eps: float, frac: float) -> int:
+    """Occupied cells for points already anchored at their bounding-box corner.
+
+    rel >= 0 and frac < 1 keep every cell index >= 0, so the row index needs
+    no shift.
+    """
+    cells = np.floor((rel + frac * eps) / eps).astype(np.int64)
+    span = cells[:, 1].max() + 1
     key = cells[:, 0] * span + cells[:, 1]
     return int(np.unique(key).size)
 
@@ -72,7 +76,7 @@ def box_count(pts, eps: float) -> int:
     pts = _as_pointset(pts, "A")
     if eps <= 0.0:
         raise DomainError("eps must be positive, got %r" % (eps,))
-    return _box_count_offset(pts, eps, 0.0)
+    return _box_count_offset(pts - pts.min(axis=0), eps, 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,9 +123,10 @@ def box_counting_dimension(pts, eps_max: float | None = None,
     else:
         ratio = math.sqrt(2.0)
         ladder = eps_max / ratio ** np.arange(0, 40)
+    rel = pts - lo
     for eps in ladder:
         avg = np.mean(
-            [_box_count_offset(pts, float(eps), f) for f in (0.0, 0.25, 0.5, 0.75)]
+            [_box_count_offset(rel, float(eps), f) for f in (0.0, 0.25, 0.5, 0.75)]
         )
         if eps_min is None and pts.shape[0] / avg < 4.0:
             break  # sampling floor: cells no longer hold enough points

@@ -57,8 +57,8 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
     """Render a word as a polyline; vertex count is word length + 1."""
     if not 0.0 <= alpha <= math.pi / 2:
         raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
-    if not unit > 0.0:
-        raise DomainError("unit must be positive, got %r" % (unit,))
+    if not 0.0 < unit < math.inf:
+        raise DomainError("unit must be positive and finite, got %r" % (unit,))
     bits = words.as_bits(w)
     signs = _turn_signs(bits, parity)
     kcum = np.cumsum(signs, dtype=np.int64)
@@ -108,9 +108,14 @@ class CurveStats:
 
 
 def _as_points(p) -> np.ndarray:
-    pts = p.points if isinstance(p, Polyline) else np.asarray(p, dtype=np.float64)
+    # a Polyline comes from draw, which only builds finite points
+    if isinstance(p, Polyline):
+        return p.points
+    pts = np.asarray(p, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("expected an (N, 2) point array")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must hold only finite coordinates")
     return pts
 
 

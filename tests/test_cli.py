@@ -119,6 +119,25 @@ def test_curve_alpha_out_of_range():
     assert run(["curve", "--n", "6", "--alpha", "2.0"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--unit", "inf"], ["--unit", "nan"],
+                                   ["--stroke-width", "inf"],
+                                   ["--stroke-width", "nan"]])
+def test_curve_non_finite_sizes_are_usage_errors(tmp_path, flags):
+    out = tmp_path / "c.csv"
+    assert run(["curve", "--n", "5", "--csv", str(out)] + flags) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["word", "--i", "2", "--n", "5", "--format", "svg"],
+                                  ["curve", "--n", "5", "--parity", "up"],
+                                  ["verify", "--level", "everything"]])
+def test_bad_choices_are_usage_errors(args):
+    # argparse rejects these before any config is built
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # stats
 

@@ -88,6 +88,19 @@ def test_bad_arguments():
         turtle.draw("010", 1.0, parity="sideways")
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(DomainError):
+        turtle.draw("010", 1.0, unit=bad)
+    cloud = np.array([[0.0, 0.0], [1.0, bad], [2.0, 0.0]])
+    with pytest.raises(DomainError):
+        turtle.curve_stats(cloud)
+    with pytest.raises(DomainError):
+        turtle.oriented_box(cloud)
+    with pytest.raises(DomainError):
+        turtle.collinear_run_lengths(cloud)
+
+
 def test_stats_reference_triangle():
     # the corner [(0,0),(0,1),(1,1)] has chord sqrt(2) and height sqrt(2)/2
     s = turtle.curve_stats(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
