@@ -29,12 +29,11 @@ import re
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, ifs as ifsmod, metrics, turtle, words
-from .errors import DomainError, FibfracError, SelfSimilarityError
+from .errors import FibfracError, SelfSimilarityError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -168,31 +167,6 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     return "".join(parts).encode("ascii")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed and validated invocation; commands never re-check inputs."""
-
-    subcommand: str
-    i: int = 2
-    n: int = 17
-    alpha: float = math.pi / 2
-    out: str = None
-    fmt: str = "txt"
-    depth: int = None
-    budget: int = None
-    parity: str = "even-left"
-    n_ref: int = None
-    bbox: bool = False
-    stroke_width: float = None
-    unit: float = 1.0
-    alphas: tuple = ()
-    plot: str = None
-    level: str = "full"
-    negative_control: bool = False
-    what: tuple = ("dim", "ifs")
-    workers: int = 1
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
@@ -205,145 +179,120 @@ def _check_out_dir(path) -> None:
     _require(os.path.isdir(d), "output directory does not exist: %r" % (d,))
 
 
-def _config_from_args(args) -> RunConfig:
-    """Build the RunConfig, validating every flag before any work starts."""
-    get = lambda name, default: getattr(args, name, default)
-    sub = args.subcommand
-    fmt = get("format", None)
-    out = get("out", None)
+def _check_alpha(a: float, msg: str) -> float:
+    _require(0.0 <= a <= math.pi / 2 + 1e-12, msg % (a,))
+    return min(a, math.pi / 2)
+
+
+def _validate(args) -> None:
+    """Check every flag before any work starts and fill in the derived values.
+
+    Commands never re-check inputs.  A subcommand's namespace only holds the
+    flags that subcommand declares, so each check runs where its flag exists.
+    """
+    sub, given = args.subcommand, vars(args)
     if sub == "curve":
         # --svg / --csv are shorthands for --format plus --out
-        svg_path, csv_path = get("svg", None), get("csv", None)
-        _require(svg_path is None or csv_path is None, "give at most one of --svg/--csv")
-        if svg_path is not None:
-            fmt, out = "svg", svg_path
-        elif csv_path is not None:
-            fmt, out = "csv", csv_path
-        fmt = fmt or "svg"
-    defaults = {"word": "txt", "stats": "txt", "dim": "csv", "ifs": "json",
-                "attractor": "csv", "verify": "json", "sweep": "csv"}
-    fmt = fmt or defaults.get(sub, "txt")
+        _require(args.svg is None or args.csv is None, "give at most one of --svg/--csv")
+        if args.svg is not None:
+            args.format, args.out = "svg", args.svg
+        elif args.csv is not None:
+            args.format, args.out = "csv", args.csv
 
-    i = int(get("i", 2))
-    n = int(get("n", 17))
-    _require(i >= 2, "need i >= 2, got %d" % (i,))
-    _require(n >= 1, "need n >= 1, got %d" % (n,))
-    alpha = float(get("alpha", math.pi / 2))
-    _require(0.0 <= alpha <= math.pi / 2 + 1e-12,
-             "alpha must lie in [0, pi/2], got %s" % (alpha,))
-    alpha = min(alpha, math.pi / 2)
+    if "i" in given:
+        _require(args.i >= 2, "need i >= 2, got %d" % (args.i,))
+    if "n" in given:
+        _require(args.n >= 1, "need n >= 1, got %d" % (args.n,))
+    if "alpha" in given:
+        args.alpha = _check_alpha(args.alpha, "alpha must lie in [0, pi/2], got %s")
 
     if sub in ("word", "curve", "stats"):
         try:
-            length = words.fib_length(i, n)
+            length = words.fib_length(args.i, args.n)
         except OverflowError:
-            raise ValueError("f_%d^[%d] is too long to materialize" % (n, i)) from None
+            raise ValueError("f_%d^[%d] is too long to materialize"
+                             % (args.n, args.i)) from None
         cap = MAX_WORD_CHARS if sub == "word" else MAX_SEGMENTS
         _require(length <= cap, "f_%d^[%d] has %d symbols, over the %d cap"
-                 % (n, i, length, cap))
+                 % (args.n, args.i, length, cap))
 
-    depth = get("depth", None)
-    budget = get("budget", None)
     if sub == "attractor":
-        _require(depth is None or budget is None, "give --depth or --budget, not both")
-        if depth is None and budget is None:
-            depth = 7
-    if depth is not None:
-        depth = int(depth)
-        _require(0 <= depth <= 12, "depth must be in 0..12, got %d" % (depth,))
-    if budget is not None:
-        budget = int(budget)
-        _require(budget >= 2, "budget must be >= 2, got %d" % (budget,))
+        _require(args.depth is None or args.budget is None,
+                 "give --depth or --budget, not both")
+        if args.depth is None and args.budget is None:
+            args.depth = 7
+    if given.get("depth") is not None:
+        _require(0 <= args.depth <= 12, "depth must be in 0..12, got %d" % (args.depth,))
+    if given.get("budget") is not None:
+        _require(args.budget >= 2, "budget must be >= 2, got %d" % (args.budget,))
+    if given.get("n_ref") is not None:
+        _require(args.n_ref >= 7, "n_ref must be >= 7, got %d" % (args.n_ref,))
 
-    parity = get("parity", "even-left")
+    if "unit" in given:
+        _require(0.0 < args.unit < math.inf,
+                 "unit must be positive and finite, got %s" % (args.unit,))
+    if given.get("stroke_width") is not None:
+        _require(0.0 < args.stroke_width < math.inf,
+                 "stroke width must be positive and finite")
 
-    n_ref = get("n_ref", None)
-    if n_ref is not None:
-        n_ref = int(n_ref)
-        _require(n_ref >= 7, "n_ref must be >= 7, got %d" % (n_ref,))
-
-    unit = float(get("unit", 1.0))
-    _require(0.0 < unit < math.inf, "unit must be positive and finite, got %s" % (unit,))
-    stroke = get("stroke_width", None)
-    if stroke is not None:
-        stroke = float(stroke)
-        _require(0.0 < stroke < math.inf, "stroke width must be positive and finite")
-
-    if get("alphas", None):
-        alphas = parse_angle_list(args.alphas)
-    elif sub in ("dim", "sweep"):
-        grid = int(get("grid", 9))
-        _require(grid >= 2, "grid needs at least 2 points, got %d" % (grid,))
-        alphas = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, grid))
-    else:
-        alphas = ()
-    for a in alphas:
-        _require(0.0 <= a <= math.pi / 2 + 1e-12,
-                 "grid alpha %s outside [0, pi/2]" % (a,))
-    alphas = tuple(min(a, math.pi / 2) for a in alphas)
-
-    level = get("level", "full")
-
-    what_raw = get("what", None)
-    if what_raw:
-        what = tuple(tok.strip() for tok in what_raw.split(",") if tok.strip())
-        for tok in what:
-            _require(tok in ("dim", "ifs", "attractor"), "bad sweep output %r" % (tok,))
-    else:
-        what = ("dim", "ifs")
+    if sub in ("dim", "sweep"):
+        if args.alphas:
+            alphas = parse_angle_list(args.alphas)
+        else:
+            _require(args.grid >= 2,
+                     "grid needs at least 2 points, got %d" % (args.grid,))
+            alphas = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, args.grid))
+        args.alphas = tuple(_check_alpha(a, "grid alpha %s outside [0, pi/2]")
+                            for a in alphas)
 
     if sub == "sweep":
-        _require(out is not None, "sweep needs --out DIR")
-        os.makedirs(out, exist_ok=True)
+        what = args.what.split(",") if args.what else ("dim", "ifs")
+        args.what = tuple(tok.strip() for tok in what if tok.strip())
+        for tok in args.what:
+            _require(tok in ("dim", "ifs", "attractor"), "bad sweep output %r" % (tok,))
+        os.makedirs(args.out, exist_ok=True)
     else:
-        _check_out_dir(out)
-    _check_out_dir(get("plot", None))
-
-    return RunConfig(
-        subcommand=sub, i=i, n=n, alpha=alpha, out=out, fmt=fmt, depth=depth,
-        budget=budget, parity=parity, n_ref=n_ref, bbox=bool(get("bbox", False)),
-        stroke_width=stroke, unit=unit, alphas=alphas, plot=get("plot", None),
-        level=level, negative_control=bool(get("negative_control", False)),
-        what=what, workers=worker_count(),
-    )
+        _check_out_dir(args.out)
+    _check_out_dir(given.get("plot"))
+    args.workers = worker_count()
 
 
-def cmd_word(cfg: RunConfig) -> int:
-    w = words.word_concat(cfg.i, cfg.n)
-    data = words.to_text(w) if cfg.fmt == "txt" else words.to_binary(w)
-    _deliver(data, cfg.out)
+def cmd_word(args) -> int:
+    w = words.word_concat(args.i, args.n)
+    data = words.to_text(w) if args.format == "txt" else words.to_binary(w)
+    _deliver(data, args.out)
     return EXIT_OK
 
 
-def cmd_curve(cfg: RunConfig) -> int:
-    w = words.word_concat(cfg.i, cfg.n)
-    p = turtle.draw(w, cfg.alpha, unit=cfg.unit, parity=cfg.parity)
-    if cfg.fmt == "svg":
-        data = polyline_svg(p.points, stroke_width=cfg.stroke_width, bbox=cfg.bbox)
+def cmd_curve(args) -> int:
+    w = words.word_concat(args.i, args.n)
+    p = turtle.draw(w, args.alpha, unit=args.unit, parity=args.parity)
+    if args.format == "svg":
+        data = polyline_svg(p.points, stroke_width=args.stroke_width, bbox=args.bbox)
     else:
         data = points_csv(p.points)
-    _deliver(data, cfg.out)
+    _deliver(data, args.out)
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    w = words.word_concat(cfg.i, cfg.n)
-    p = turtle.draw(w, cfg.alpha, unit=cfg.unit, parity=cfg.parity)
+def cmd_stats(args) -> int:
+    w = words.word_concat(args.i, args.n)
+    p = turtle.draw(w, args.alpha, unit=args.unit, parity=args.parity)
     st = turtle.curve_stats(p)
     rows = [
-        ("i", cfg.i), ("n", cfg.n), ("alpha", cfg.alpha),
+        ("i", args.i), ("n", args.n), ("alpha", args.alpha),
         ("segments", p.points.shape[0] - 1), ("vertices", p.points.shape[0]),
         ("width", st.w), ("height", st.h), ("aspect", st.aspect),
         ("net_angle", st.net_angle), ("turn_count", p.turn_count),
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         obj = {k: (v if isinstance(v, int) else float(v)) for k, v in rows}
         data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
     else:
         lines = ["%s %s" % (k, v if isinstance(v, int) else _fmt17(v))
                  for k, v in rows]
         data = ("\n".join(lines) + "\n").encode("ascii")
-    _deliver(data, cfg.out)
+    _deliver(data, args.out)
     return EXIT_OK
 
 
@@ -362,9 +311,9 @@ def _dim_csv(rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def cmd_dim(cfg: RunConfig) -> int:
-    rows = _dim_rows(cfg.alphas)
-    if cfg.fmt == "json":
+def cmd_dim(args) -> int:
+    rows = _dim_rows(args.alphas)
+    if args.format == "json":
         fin = lambda v: float(v) if math.isfinite(v) else None
         obj = [
             {"alpha": fin(a), "R": fin(R), "r_plus": fin(rp),
@@ -374,23 +323,23 @@ def cmd_dim(cfg: RunConfig) -> int:
         data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
     else:
         data = _dim_csv(rows)
-    _deliver(data, cfg.out)
-    if cfg.plot is not None:
+    _deliver(data, args.out)
+    if args.plot is not None:
         graph = np.array([[a, s] for a, _, _, _, s in rows])
-        atomic_write(cfg.plot, polyline_svg(graph, stroke_width=0.01))
+        atomic_write(args.plot, polyline_svg(graph, stroke_width=0.01))
     return EXIT_OK
 
 
-def cmd_ifs(cfg: RunConfig) -> int:
-    F = ifsmod.derive_ifs(cfg.i, cfg.alpha, n_ref=cfg.n_ref, parity=cfg.parity)
-    _deliver((ifsmod.to_json(F) + "\n").encode("ascii"), cfg.out)
+def cmd_ifs(args) -> int:
+    F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
+    _deliver((ifsmod.to_json(F) + "\n").encode("ascii"), args.out)
     return EXIT_OK
 
 
-def cmd_attractor(cfg: RunConfig) -> int:
-    F = ifsmod.derive_ifs(cfg.i, cfg.alpha, n_ref=cfg.n_ref, parity=cfg.parity)
-    pts = ifsmod.attractor(F, depth=cfg.depth, budget=cfg.budget)
-    _deliver(points_csv(pts), cfg.out)
+def cmd_attractor(args) -> int:
+    F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
+    pts = ifsmod.attractor(F, depth=args.depth, budget=args.budget)
+    _deliver(points_csv(pts), args.out)
     return EXIT_OK
 
 
@@ -422,7 +371,7 @@ def _word_text(i: int, n: int) -> str:
     return words.to_text(words.word_concat(i, n)).decode("ascii").rstrip("\n")
 
 
-def _checks_words() -> list:
+def _checks_words(args, rng) -> list:
     out = []
     bad = [(i, n) for (i, n), s in sorted(_SMALL_WORDS.items())
            if _word_text(i, n) != s]
@@ -454,11 +403,11 @@ def _checks_words() -> list:
     return out
 
 
-def _checks_curves(cfg: RunConfig) -> list:
+def _checks_curves(args, rng) -> list:
     out = []
-    w12 = words.word_concat(cfg.i, 12)
-    p = turtle.draw(w12, cfg.alpha, parity=cfg.parity)
-    ok = p.points.shape[0] == words.fib_length(cfg.i, 12) + 1
+    w12 = words.word_concat(args.i, 12)
+    p = turtle.draw(w12, args.alpha, parity=args.parity)
+    ok = p.points.shape[0] == words.fib_length(args.i, 12) + 1
     out.append(_check("curves.vertex_count", ok, float(ok),
                       "n = 12 drawn at the requested alpha"))
 
@@ -467,9 +416,9 @@ def _checks_curves(cfg: RunConfig) -> list:
               abs(st.aspect - 2.0))
     out.append(_tol_check("curves.stats_reference_triangle", err, 1e-12))
 
-    ok = p.turn_count == turtle.turn_count(w12, parity=cfg.parity)
+    ok = p.turn_count == turtle.turn_count(w12, parity=args.parity)
     ok = ok and abs(p.final_heading
-                    - (math.pi / 2 + cfg.alpha * p.turn_count)) == 0.0
+                    - (math.pi / 2 + args.alpha * p.turn_count)) == 0.0
     out.append(_check("curves.heading_bookkeeping", ok, float(ok),
                       "final heading is pi/2 + k*alpha with integer k"))
 
@@ -477,42 +426,42 @@ def _checks_curves(cfg: RunConfig) -> list:
     ws = {}
     for n in (n_hi - 3, n_hi):
         st_n = turtle.curve_stats(
-            turtle.draw(words.word_concat(cfg.i, n), cfg.alpha, parity=cfg.parity))
+            turtle.draw(words.word_concat(args.i, n), args.alpha, parity=args.parity))
         ws[n] = st_n.w
-    r_plus = analysis.scaling_profile(cfg.alpha).r_plus
+    r_plus = analysis.scaling_profile(args.alpha).r_plus
     err = abs(ws[n_hi] / ws[n_hi - 3] - r_plus)
     out.append(_tol_check("curves.width_ratio_limit", err, 1e-3,
                           "w_%d / w_%d against r_plus" % (n_hi, n_hi - 3)))
 
-    if cfg.i % 2 == 0:
-        _, boxes = turtle.subcurves(cfg.i, 17, math.pi / 2, parity=cfg.parity)
+    if args.i % 2 == 0:
+        _, boxes = turtle.subcurves(args.i, 17, math.pi / 2, parity=args.parity)
         rep = turtle.boxes_disjoint(boxes)
         out.append(_check("curves.part_boxes_disjoint", rep.disjoint,
                           float(rep.disjoint), "five-partite boxes at pi/2, n = 17"))
         n_box = 17
     else:
         n_box = 15
-    ok = turtle.endpoints_on_box(cfg.i, n_box, math.pi / 2, parity=cfg.parity)
+    ok = turtle.endpoints_on_box(args.i, n_box, math.pi / 2, parity=args.parity)
     out.append(_check("curves.endpoints_on_box", ok, float(ok),
                       "axis-aligned box at pi/2, n = %d" % (n_box,)))
     return out
 
 
-def _checks_ifs(cfg: RunConfig) -> list:
+def _checks_ifs(args, rng) -> list:
     out = []
-    draw_parity = cfg.parity
-    if cfg.negative_control:
-        draw_parity = "odd-left" if cfg.parity == "even-left" else "even-left"
+    draw_parity = args.parity
+    if args.negative_control:
+        draw_parity = turtle.PARITIES[1 - turtle.PARITIES.index(args.parity)]
     try:
-        F = ifsmod.derive_ifs(cfg.i, cfg.alpha, n_ref=cfg.n_ref,
-                              parity=cfg.parity, draw_parity=draw_parity)
+        F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref,
+                              parity=args.parity, draw_parity=draw_parity)
     except SelfSimilarityError as exc:
         out.append(_check("ifs.similarity_fit", False, 0.0, str(exc)))
         return out
     out.append(_check("ifs.similarity_fit", True, 1.0,
                       "five-map fit at the converged level"))
 
-    prof = analysis.scaling_profile(cfg.alpha)
+    prof = analysis.scaling_profile(args.alpha)
     want = (prof.R, prof.R, prof.R ** 2, prof.R, prof.R)
     err = max(abs(m.scale - s) for m, s in zip(F.maps, want))
     out.append(_tol_check("ifs.scale_spectrum", err, 1e-6,
@@ -541,7 +490,7 @@ def _checks_ifs(cfg: RunConfig) -> list:
     return out
 
 
-def _checks_dim(cfg: RunConfig, rng: np.random.Generator) -> list:
+def _checks_dim(args, rng: np.random.Generator) -> list:
     out = []
     grid = np.linspace(0.0, math.pi / 2, 200)
     worst = 0.0
@@ -579,10 +528,10 @@ def _checks_dim(cfg: RunConfig, rng: np.random.Generator) -> list:
     return out
 
 
-def _checks_full(cfg: RunConfig) -> list:
+def _checks_full(args, rng) -> list:
     out = []
     try:
-        F = ifsmod.derive_ifs(cfg.i, cfg.alpha, n_ref=cfg.n_ref, parity=cfg.parity)
+        F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
     except SelfSimilarityError as exc:
         out.append(_check("full.box_count_dimension", False, 0.0, str(exc)))
         return out
@@ -590,36 +539,34 @@ def _checks_full(cfg: RunConfig) -> list:
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     rep = metrics.box_counting_dimension(pts, eps_max=diam / 8.0,
                                          eps_min=diam / 512.0, levels=7)
-    want = analysis.hausdorff_dimension(cfg.alpha)
+    want = analysis.hausdorff_dimension(args.alpha)
     err = abs(rep.boxcount_s - want)
     out.append(_tol_check("full.box_count_dimension", err, 0.1,
                           "slope %.4f against s = %.4f, r2 = %.5f"
                           % (rep.boxcount_s, want, rep.fit_r2)))
-    out.append(_check("full.box_count_fit_quality", rep.fit_r2 > 0.98,
-                      rep.fit_r2 - 0.98, "log-log fit r2"))
+    out.append(_tol_check("full.box_count_fit_quality", 1.0 - rep.fit_r2, 0.02,
+                          "log-log fit r2"))
 
-    conv = metrics.convergence_report(cfg.i, cfg.alpha, (1, 2, 3))
+    conv = metrics.convergence_report(args.i, args.alpha, (1, 2, 3))
     ok = all(b < a for a, b in zip(conv.distances, conv.distances[1:]))
     out.append(_check("full.curve_convergence", ok, float(ok),
                       "successive normalized curves draw closer"))
     return out
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+# cumulative check groups, in the order --level counts them
+_LEVELS = {"words": _checks_words, "curves": _checks_curves, "ifs": _checks_ifs,
+           "dim": _checks_dim, "full": _checks_full}
+
+
+def cmd_verify(args) -> int:
     rng = np.random.default_rng(20240817)
-    order = ("words", "curves", "ifs", "dim", "full")
-    selected = order[: order.index(cfg.level) + 1]
+    last = list(_LEVELS).index(args.level)
     checks = []
-    if "words" in selected:
-        checks += _checks_words()
-    if "curves" in selected:
-        checks += _checks_curves(cfg)
-    if "ifs" in selected or cfg.negative_control:
-        checks += _checks_ifs(cfg)
-    if "dim" in selected:
-        checks += _checks_dim(cfg, rng)
-    if "full" in selected:
-        checks += _checks_full(cfg)
+    for k, (name, group) in enumerate(_LEVELS.items()):
+        # the negative control is an ifs check, so it runs at every level
+        if k <= last or (name == "ifs" and args.negative_control):
+            checks += group(args, rng)
 
     passed = all(c["passed"] for c in checks)
     for c in checks:
@@ -627,48 +574,40 @@ def cmd_verify(cfg: RunConfig) -> int:
               % ("ok " if c["passed"] else "FAIL", c["name"], c["margin"],
                  c["detail"]), file=sys.stderr)
     report = {
-        "i": cfg.i, "alpha": cfg.alpha, "level": cfg.level,
-        "negative_control": cfg.negative_control, "passed": passed,
+        "i": args.i, "alpha": args.alpha, "level": args.level,
+        "negative_control": args.negative_control, "passed": passed,
         "checks": checks,
     }
-    _deliver((json.dumps(report, indent=2) + "\n").encode("ascii"), cfg.out)
+    _deliver((json.dumps(report, indent=2) + "\n").encode("ascii"), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(args) -> int:
     """Per-alpha outputs over a grid; workers only compute, writes are ordered."""
 
     def task(a: float):
         res = {}
-        if "ifs" in cfg.what or "attractor" in cfg.what:
-            F = ifsmod.derive_ifs(cfg.i, a, n_ref=cfg.n_ref, parity=cfg.parity)
-            if "ifs" in cfg.what:
+        if "ifs" in args.what or "attractor" in args.what:
+            F = ifsmod.derive_ifs(args.i, a, n_ref=args.n_ref, parity=args.parity)
+            if "ifs" in args.what:
                 res["ifs"] = ifsmod.to_json(F).encode("ascii")
-            if "attractor" in cfg.what:
-                depth = cfg.depth if cfg.depth is not None else 6
-                res["attractor"] = points_csv(ifsmod.attractor(F, depth=depth))
+            if "attractor" in args.what:
+                res["attractor"] = points_csv(ifsmod.attractor(F, depth=args.depth))
         return res
 
-    with ThreadPoolExecutor(max_workers=min(cfg.workers, len(cfg.alphas))) as ex:
-        results = list(ex.map(task, cfg.alphas))
+    with ThreadPoolExecutor(max_workers=min(args.workers, len(args.alphas))) as ex:
+        results = list(ex.map(task, args.alphas))
 
-    if "dim" in cfg.what:
-        atomic_write(os.path.join(cfg.out, "dim.csv"),
-                     _dim_csv(_dim_rows(cfg.alphas)))
+    if "dim" in args.what:
+        atomic_write(os.path.join(args.out, "dim.csv"),
+                     _dim_csv(_dim_rows(args.alphas)))
     for idx, res in enumerate(results):
         if "ifs" in res:
-            atomic_write(os.path.join(cfg.out, "ifs_%02d.json" % idx), res["ifs"])
+            atomic_write(os.path.join(args.out, "ifs_%02d.json" % idx), res["ifs"])
         if "attractor" in res:
-            atomic_write(os.path.join(cfg.out, "attractor_%02d.csv" % idx),
+            atomic_write(os.path.join(args.out, "attractor_%02d.csv" % idx),
                          res["attractor"])
     return EXIT_OK
-
-
-_HANDLERS = {
-    "word": cmd_word, "curve": cmd_curve, "stats": cmd_stats, "dim": cmd_dim,
-    "ifs": cmd_ifs, "attractor": cmd_attractor, "verify": cmd_verify,
-    "sweep": cmd_sweep,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -681,89 +620,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp = ap.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text):
-        p = sp.add_parser(name, help=help_text)
+    def flag(name, **kw):
+        # a one-flag parent parser: each shared flag is declared here only
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(name, **kw)
+        return parent
+
+    family = flag("--i", type=int, default=2, help="family index, i >= 2")
+    order = flag("--n", type=int, default=17, help="word order, n >= 1")
+    angle = flag("--alpha", type=parse_angle, default=math.pi / 2,
+                 help="drawing angle in [0, pi/2]")
+    unit = flag("--unit", type=float, default=1.0, help="segment length")
+    parity = flag("--parity", choices=turtle.PARITIES, default="even-left",
+                  help="which 0-positions turn left")
+    n_ref = flag("--n-ref", type=int,
+                 help="reference order for the junction validation")
+    out = flag("--out", help="output file (stdout when omitted)")
+    grid = [flag("--grid", type=int, default=9,
+                 help="points on a uniform [0, pi/2] grid"),
+            flag("--alphas", help="comma-separated explicit angles")]
+
+    def add(name, help_text, handler, parents, formats=()):
+        p = sp.add_parser(name, help=help_text, parents=parents)
+        p.set_defaults(handler=handler)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0],
+                           help="output format")
         return p
 
-    p = add("word", "print or save an i-Fibonacci word")
+    p = add("word", "print or save an i-Fibonacci word", cmd_word, [out],
+            ("txt", "bin"))
     p.add_argument("--i", type=int, required=True, help="family index, i >= 2")
     p.add_argument("--n", type=int, required=True, help="word order, n >= 1")
-    p.add_argument("--format", choices=["txt", "bin"], help="text or packed bits")
-    p.add_argument("--out", help="output file (stdout when omitted)")
 
-    p = add("curve", "render the drawn curve")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--n", type=int, default=17)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2,
-                   help="drawing angle in [0, pi/2]")
-    p.add_argument("--format", choices=["svg", "csv"])
-    p.add_argument("--out", help="output file (stdout when omitted)")
+    p = add("curve", "render the drawn curve", cmd_curve,
+            [family, order, angle, unit, parity, out], ("svg", "csv"))
     p.add_argument("--svg", help="shorthand for --format svg --out PATH")
     p.add_argument("--csv", help="shorthand for --format csv --out PATH")
     p.add_argument("--bbox", action="store_true",
                    help="overlay the smallest enclosing rectangle")
-    p.add_argument("--stroke-width", type=float, dest="stroke_width",
+    p.add_argument("--stroke-width", type=float,
                    help="SVG stroke width (default 0.5%% of the viewBox width)")
-    p.add_argument("--unit", type=float, default=1.0, help="segment length")
-    p.add_argument("--parity", choices=["even-left", "odd-left"],
-                   default="even-left", help="which 0-positions turn left")
 
-    p = add("stats", "chord width, height, aspect, net heading")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--n", type=int, default=17)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--format", choices=["txt", "json"])
-    p.add_argument("--out")
-    p.add_argument("--unit", type=float, default=1.0)
-    p.add_argument("--parity", choices=["even-left", "odd-left"], default="even-left")
+    add("stats", "chord width, height, aspect, net heading", cmd_stats,
+        [family, order, angle, unit, parity, out], ("txt", "json"))
 
-    p = add("dim", "alpha -> (R, r_plus, aspect limit, dimension) table")
-    p.add_argument("--grid", type=int, default=9,
-                   help="points on a uniform [0, pi/2] grid")
-    p.add_argument("--alphas", help="comma-separated explicit angles")
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--out")
+    p = add("dim", "alpha -> (R, r_plus, aspect limit, dimension) table", cmd_dim,
+            grid + [out], ("csv", "json"))
     p.add_argument("--plot", help="also write an SVG graph of s(alpha)")
 
-    p = add("ifs", "derive the five-map IFS, emit JSON")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--n-ref", type=int, dest="n_ref",
-                   help="reference order for the junction validation")
-    p.add_argument("--parity", choices=["even-left", "odd-left"], default="even-left")
-    p.add_argument("--out")
+    add("ifs", "derive the five-map IFS, emit JSON", cmd_ifs,
+        [family, angle, n_ref, parity, out])
 
-    p = add("attractor", "sample the attractor, emit CSV points")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2)
+    p = add("attractor", "sample the attractor, emit CSV points", cmd_attractor,
+            [family, angle, n_ref, parity, out])
     p.add_argument("--depth", type=int, help="iteration depth (2 * 5^depth points)")
     p.add_argument("--budget", type=int, help="stop before exceeding this count")
-    p.add_argument("--n-ref", type=int, dest="n_ref")
-    p.add_argument("--parity", choices=["even-left", "odd-left"], default="even-left")
-    p.add_argument("--out")
 
-    p = add("verify", "run module cross-checks, report margins")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--level", choices=["words", "curves", "ifs", "dim", "full"],
+    p = add("verify", "run module cross-checks, report margins", cmd_verify,
+            [family, angle, n_ref, parity, out])
+    p.add_argument("--level", choices=list(_LEVELS),
                    default="full", help="cumulative check groups")
     p.add_argument("--negative-control", action="store_true",
-                   dest="negative_control",
                    help="derive with the turn parity deliberately swapped; the "
                         "similarity fit is expected to fail")
-    p.add_argument("--n-ref", type=int, dest="n_ref")
-    p.add_argument("--parity", choices=["even-left", "odd-left"], default="even-left")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = add("sweep", "batch outputs over an alpha grid")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--grid", type=int, default=9)
-    p.add_argument("--alphas", help="comma-separated explicit angles")
+    p = add("sweep", "batch outputs over an alpha grid", cmd_sweep,
+            [family] + grid + [n_ref, parity])
     p.add_argument("--what", help="comma subset of dim,ifs,attractor "
                                   "(default dim,ifs)")
-    p.add_argument("--depth", type=int, help="attractor depth (default 6)")
-    p.add_argument("--n-ref", type=int, dest="n_ref")
-    p.add_argument("--parity", choices=["even-left", "odd-left"], default="even-left")
+    p.add_argument("--depth", type=int, default=6,
+                   help="attractor depth (default %(default)s)")
     p.add_argument("--out", required=True, help="output directory")
 
     return ap
@@ -772,12 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _validate(args)
     except ValueError as exc:  # DomainError subclasses ValueError
         print("fibfrac: error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[cfg.subcommand](cfg)
+        return args.handler(args)
     except SelfSimilarityError as exc:
         print("fibfrac: verification failed: %s" % (exc,), file=sys.stderr)
         return EXIT_CHECK_FAILED

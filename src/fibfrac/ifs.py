@@ -441,28 +441,6 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
     return hull
 
 
-def _edge_normals(poly: np.ndarray) -> np.ndarray:
-    """Outward unit normals of the non-zero edges of a counterclockwise polygon."""
-    edges = np.roll(poly, -1, axis=0) - poly
-    lens = np.hypot(edges[:, 0], edges[:, 1])
-    edges = edges[lens > 0.0] / lens[lens > 0.0, None]
-    return np.column_stack([edges[:, 1], -edges[:, 0]])
-
-
-def _polygon_overlap(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Separating-axis overlap depth of two convex polygons (<= 0: separated)."""
-    depth = math.inf
-    for poly in (pa, pb):
-        axes = _edge_normals(poly)
-        qa = pa @ axes.T
-        qb = pb @ axes.T
-        gaps = np.minimum(qa.max(axis=0), qb.max(axis=0)) - np.maximum(
-            qa.min(axis=0), qb.min(axis=0)
-        )
-        depth = min(depth, float(gaps.min()))
-    return depth
-
-
 @dataclass(frozen=True)
 class OSCReport:
     """Outcome of the open-set-condition check."""
@@ -472,6 +450,12 @@ class OSCReport:
     margin: float
 
 
+def _width(poly: np.ndarray) -> float:
+    """Smallest extent of a convex polygon over its own edge normals."""
+    reach = poly @ turtle._edge_normals(poly).T
+    return float((reach.max(axis=0) - reach.min(axis=0)).min())
+
+
 def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     """Check the open set condition with V the interior of the attractor's hull.
 
@@ -479,25 +463,29 @@ def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     maps themselves, so it contains its own five images: containment is
     measured as the largest excess of an image's support over the hull's
     support along the hull's edge normals, and interior disjointness as the
-    largest separating-axis overlap between two images.  A hull that is a
-    segment, or no wider than `tolerance` along some edge normal, cannot
-    resolve an overlap; V is then the square with the chord as its diagonal,
-    which each map carries to the square on its own sub-chord.
-    margin is the slack left under `tolerance`; positive margin means both
+    separating-axis overlap between two images.  A pair counts as disjoint
+    only if its overlap is at most min(tolerance, 1e-3 of the narrower
+    image's width): touching images overlap by round-off, a duplicated map
+    by a whole width, so a thin attractor cannot hide a duplicate under the
+    absolute tolerance.  A hull that is a segment, or no wider than
+    `tolerance` along some edge normal, cannot resolve an overlap; V is then
+    the square with the chord as its diagonal, which each map carries to the
+    square on its own sub-chord.
+    margin is the slack left under `tolerance`, with each overlap rescaled
+    so that its limit maps onto `tolerance`; positive margin means both
     checks passed.
     """
     V = _attractor_hull(ifs)
-    normals = _edge_normals(V)
-    reach = V @ normals.T
     # a two-vertex hull has width 0 across its own edge
-    if float((reach.max(axis=0) - reach.min(axis=0)).min()) <= tolerance:
+    if _width(V) <= tolerance:
         s0, s1 = ifs.frame.seeds()
         mid, half = (s0 + s1) / 2.0, (s1 - s0) / 2.0
         perp = np.array([-half[1], half[0]])
         V = np.array([s0, mid - perp, s1, mid + perp])
-        normals = _edge_normals(V)
+    normals = turtle._edge_normals(V)
     offsets = (V @ normals.T).max(axis=0)
     image_polys = [m.apply(V) for m in ifs.maps]
+    widths = [_width(poly) for poly in image_polys]
     worst_violation = max(
         float(((poly @ normals.T) - offsets).max()) for poly in image_polys
     )
@@ -505,7 +493,9 @@ def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     count = len(image_polys)
     for j in range(count):
         for k in range(j + 1, count):
-            overlap = _polygon_overlap(image_polys[j], image_polys[k])
+            limit = min(tolerance, 1e-3 * min(widths[j], widths[k]))
+            overlap = turtle._polygon_overlap(image_polys[j], image_polys[k])
+            overlap *= tolerance / limit
             if overlap > worst_overlap:
                 worst_overlap = overlap
     contained = worst_violation <= tolerance

@@ -18,13 +18,9 @@ from .errors import DomainError
 
 
 def _as_pointset(pts, name: str) -> np.ndarray:
-    arr = np.asarray(pts, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("%s must be an (N, 2) point array" % name)
+    arr = turtle._as_points(pts, name)
     if arr.shape[0] == 0:
         raise DomainError("%s must be non-empty" % name)
-    if not np.isfinite(arr).all():
-        raise DomainError("%s must hold only finite coordinates" % name)
     return arr
 
 

@@ -107,15 +107,15 @@ class CurveStats:
     net_angle: float
 
 
-def _as_points(p) -> np.ndarray:
+def _as_points(p, name: str = "points") -> np.ndarray:
     # a Polyline comes from draw, which only builds finite points
     if isinstance(p, Polyline):
         return p.points
     pts = np.asarray(p, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise DomainError("expected an (N, 2) point array")
+        raise DomainError("%s must be an (N, 2) point array" % name)
     if not np.isfinite(pts).all():
-        raise DomainError("points must hold only finite coordinates")
+        raise DomainError("%s must hold only finite coordinates" % name)
     return pts
 
 
@@ -222,27 +222,28 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
     return polys, boxes
 
 
-def _axis_radius(box: OrientedBox, ax: np.ndarray) -> float:
-    u = box.axis
-    v = np.array([-u[1], u[0]])
-    return abs(box.half[0] * float(u @ ax)) + abs(box.half[1] * float(v @ ax))
+def _edge_normals(poly: np.ndarray) -> np.ndarray:
+    """Outward unit normals of the non-zero edges of a counterclockwise polygon."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    lens = np.hypot(edges[:, 0], edges[:, 1])
+    edges = edges[lens > 0.0] / lens[lens > 0.0, None]
+    return np.column_stack([edges[:, 1], -edges[:, 0]])
 
 
-def _sat_overlap(a: OrientedBox, b: OrientedBox) -> float:
-    """Smallest projected overlap across the four SAT axes (<= 0: separated)."""
-    axes = (
-        a.axis,
-        np.array([-a.axis[1], a.axis[0]]),
-        b.axis,
-        np.array([-b.axis[1], b.axis[0]]),
+def _polygon_overlap(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Separating-axis overlap depth of two convex polygons (<= 0: separated).
+
+    A polygon with no area has no interior, so its overlap is at most 0.
+    """
+    axes = np.vstack([_edge_normals(pa), _edge_normals(pb)])
+    if axes.shape[0] == 0:  # two single points
+        return 0.0
+    qa = pa @ axes.T
+    qb = pb @ axes.T
+    gaps = np.minimum(qa.max(axis=0), qb.max(axis=0)) - np.maximum(
+        qa.min(axis=0), qb.min(axis=0)
     )
-    d = b.center - a.center
-    depth = math.inf
-    for ax in axes:
-        overlap = _axis_radius(a, ax) + _axis_radius(b, ax) - abs(float(d @ ax))
-        if overlap < depth:
-            depth = overlap
-    return depth
+    return float(gaps.min())
 
 
 BoxReport = namedtuple("BoxReport", ["disjoint", "violating_pair"])
@@ -261,7 +262,7 @@ def boxes_disjoint(boxes) -> BoxReport:
     tau = 1e-9 * max(b.diagonal() for b in boxes)
     for j in range(len(boxes)):
         for k in range(j + 1, len(boxes)):
-            if _sat_overlap(boxes[j], boxes[k]) > tau:
+            if _polygon_overlap(boxes[j].corners(), boxes[k].corners()) > tau:
                 return BoxReport(False, (j, k))
     return BoxReport(True, None)
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, formats, and exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -343,3 +344,59 @@ def test_bad_threads_env(tmp_path, monkeypatch):
     monkeypatch.setenv("FIBFRAC_THREADS", "zero")
     assert run(["sweep", "--alphas", "pi/2", "--what", "dim",
                 "--out", str(tmp_path / "s")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden stdout
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# SHA-256 of the stdout bytes of each invocation; a usage error (exit 2)
+# writes nothing to stdout
+GOLDEN = [
+    ("word --i 2 --n 8", 0,
+     "66aafc93a3f8eefff66c5fddecbbff2164140843efb18e2a843d6cc4e4abf3f6"),
+    ("word --i 3 --n 9 --format bin", 0,
+     "62d716901a1e4c6de5e5f70b6a96c00d831c03204f853d996d060a279d7939b0"),
+    ("curve --n 9", 0,
+     "f17bea0fb9586bd51d2a95fce3ea7db47de4768f41b97e70d3c7cb15af5c144f"),
+    ("curve --n 9 --format csv", 0,
+     "34ff893260e8090e4ea4583827339ca60232144e15ca5badc61c66ccda9abcc2"),
+    ("curve --n 9 --alpha pi/3 --bbox --stroke-width 0.05 --parity odd-left", 0,
+     "c76fd48551e45ae9401c8387e3d008af8b92b548a7b54b534939f88259c9063e"),
+    ("curve --i 3 --n 9 --alpha 0.3 --unit 0.5 --parity odd-left --format csv", 0,
+     "995ef558036a9b0f0259d34535894b7176cb402eb2e5507e38816da9b957cf91"),
+    ("stats --n 10", 0,
+     "8942da9fa785f1750490815e875dc0efa923769fd67c0318bfd4c806d2a3a7bf"),
+    ("stats --i 3 --n 9 --alpha pi/6 --format json", 0,
+     "667c8417d7cf44e8ab3aee84e7907591311c7142aa25c9ad192f21b2d39850fd"),
+    ("dim", 0,
+     "0398d62914191f7cae78a1338c1db613a6d1134071910adfca231c7d2568de70"),
+    ("dim --grid 5 --format json", 0,
+     "7322a1be5cc29c7517d30b39d0fcf4f7510ca68ecc9b835fe517344ba33c0e00"),
+    ("dim --alphas 0,pi/6,pi/2", 0,
+     "5e2d0e8c1da6e39f3354aace2b2e77ccbcc5c25104c39dc4539bf02726e5a04f"),
+    ("ifs", 0,
+     "dcd7173879cf0a1addf96b2b4051afc8c9279532b892805caef76b3ba0104aa7"),
+    ("ifs --i 3 --alpha pi/4 --parity odd-left", 0,
+     "f6d757fd6715d299bca68d0744749bf367ca826234dc0030a13919ecddf56a16"),
+    ("attractor --depth 3", 0,
+     "657f71a37fd25ab66b89913f37a614e1dc041e5fa4dbbef8267a6cba9c4e5d6c"),
+    ("attractor --budget 100", 0,
+     "4524b0ea5d90cd0394b4cffc397680196629654baa90e29b59da332d2f346fe4"),
+    ("verify --level words", 0,
+     "ab991c1fe46b00e1cd8621ad8328a377b399f31cd8049f8625acfa2a20ca4886"),
+    ("word --i 1 --n 3", 2, EMPTY),
+    ("curve --n 6 --alpha 2.0", 2, EMPTY),
+    ("attractor --depth 3 --budget 10", 2, EMPTY),
+    ("dim --alphas 0,xyz", 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[argv for argv, _, _ in GOLDEN])
+def test_golden_stdout(argv, code, digest, capsysbinary, monkeypatch):
+    monkeypatch.delenv("FIBFRAC_THREADS", raising=False)
+    assert run(argv.split()) == code
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest

@@ -252,10 +252,12 @@ def test_attractor_hull_is_the_fixed_point(i, alpha):
 
 
 @pytest.mark.parametrize("i", [2, 3])
-@pytest.mark.parametrize("alpha", [0.0, 1e-12, 1e-9, 1e-6, PI2])
+@pytest.mark.parametrize("alpha", [0.0, 1e-12, 1e-9, 5e-9, 1e-8, 1e-6, PI2])
 def test_osc_negative_control_duplicate_map(i, alpha):
     # at the smallest angles the hull is thinner than the tolerance and V is
-    # the square on the chord; a duplicated map must still fail there
+    # the square on the chord; a duplicated map must still fail there, and
+    # just above that (5e-9, 1e-8) where its overlap is below the absolute
+    # tolerance but is the narrower image's whole width
     system = ifsmod.derive_ifs(i, alpha)
     m = system.maps
     broken = ifsmod.IFS(maps=(m[0], m[0], m[2], m[3], m[4]),

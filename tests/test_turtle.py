@@ -195,6 +195,18 @@ def test_boxes_disjoint_reports_violator():
     assert report.violating_pair == (1, 2)
 
 
+def test_zero_area_boxes_have_no_interior():
+    # a box of two equal points has no edges, so the separating-axis
+    # kernel has no axis to test; it has no interior to overlap either
+    point = turtle.oriented_box([[1.0, 2.0], [1.0, 2.0]])
+    assert turtle.boxes_disjoint([point, point]).disjoint
+    segment = turtle.oriented_box([[0.0, 0.0], [4.0, 0.0]])
+    square = turtle.OrientedBox(
+        center=np.array([2.0, 0.0]), axis=np.array([1.0, 0.0]), half=(1.0, 1.0)
+    )
+    assert turtle.boxes_disjoint([segment, square]).disjoint
+
+
 def test_boxes_touching_edges_allowed():
     mk = lambda cx: turtle.OrientedBox(
         center=np.array([cx, 0.0]), axis=np.array([1.0, 0.0]), half=(1.0, 1.0)
