@@ -76,8 +76,11 @@ def wh_sequence(alpha: float, seeds: tuple, k_max: int) -> WHSequence:
         h_k = h_{k-1} + sin(a) w_{k-1}
 
     The returned a, b solve w_k = a r_plus^k + b r_minus^k through the two
-    width seeds.  These recurrences are exact on the order class
-    n = 1 (mod 3); see curve_seeds for defaults drawn from that class.
+    width seeds.  For even i these recurrences are exact on the order class
+    n = 1 (mod 3); see curve_seeds for defaults drawn from that class.  For
+    odd i the width recurrence is exact on no order class: its relative
+    residual is smallest on n = 4 (mod 6) and decays there without
+    vanishing (2.9e-6 at n = 22 and 8.5e-8 at n = 28 for i = 3, alpha = pi/2).
     """
     _check_alpha(alpha)
     w1, w2, h1 = (float(v) for v in seeds)
@@ -106,7 +109,8 @@ def curve_seeds(i: int, alpha: float, n1: int = 10,
     """Measure (w1, w2, h1) seeds from the drawn curves of orders n1, n1 + 3.
 
     The default n1 = 10 lies in the order class n = 1 (mod 3) on which the
-    recurrences hold exactly at every alpha.
+    recurrences hold exactly at every alpha for even i.  For odd i they hold
+    only approximately on every class; see wh_sequence.
     """
     if n1 % 3 != 1:
         raise DomainError("seed order n1 must be 1 (mod 3), got %d" % n1)

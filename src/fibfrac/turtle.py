@@ -27,13 +27,10 @@ def _turn_signs(bits: np.ndarray, parity: str) -> np.ndarray:
     """Per-symbol turn as an integer multiple of alpha (+1 left, -1 right)."""
     if parity not in PARITIES:
         raise DomainError("parity must be one of %r, got %r" % (PARITIES, parity))
-    signs = np.zeros(bits.size, dtype=np.int8)
-    idx = np.arange(bits.size, dtype=np.int64)
-    zeros = bits == 0
-    signs[zeros & (idx % 2 == 1)] = 1  # even 1-based position
-    signs[zeros & (idx % 2 == 0)] = -1  # odd 1-based position
-    if parity == "odd-left":
-        np.negative(signs, out=signs)
+    signs = (bits == 0).view(np.int8)
+    # 0-based slot 0::2 is an odd 1-based position, which turns right by default
+    right = signs[0::2] if parity == "even-left" else signs[1::2]
+    np.negative(right, out=right)
     return signs
 
 
@@ -60,17 +57,18 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
     if not 0.0 < unit < math.inf:
         raise DomainError("unit must be positive and finite, got %r" % (unit,))
     bits = words.as_bits(w)
-    signs = _turn_signs(bits, parity)
-    kcum = np.cumsum(signs, dtype=np.int64)
-    kbefore = np.empty(bits.size, dtype=np.int64)
-    if bits.size:
-        kbefore[0] = 0
-        kbefore[1:] = kcum[:-1]
-    heading = INITIAL_HEADING + alpha * kbefore
+    # k[j] is the heading index before symbol j + 1; |k| <= len(w)
+    k = np.zeros(bits.size + 1, dtype=np.int32 if bits.size < 2**31 else np.int64)
+    np.cumsum(_turn_signs(bits, parity), dtype=k.dtype, out=k[1:])
+    k_min = int(k.min())
+    k_total = int(k[-1])
+    # the headings take only k_max - k_min + 1 distinct values, so look up
+    # cos and sin in a table instead of evaluating them per symbol
+    heading = INITIAL_HEADING + alpha * np.arange(k_min, int(k.max()) + 1)
+    k -= k_min
     pts = np.zeros((bits.size + 1, 2), dtype=np.float64)
-    pts[1:, 0] = np.cumsum(unit * np.cos(heading))
-    pts[1:, 1] = np.cumsum(unit * np.sin(heading))
-    k_total = int(kcum[-1]) if bits.size else 0
+    np.cumsum((unit * np.cos(heading))[k[:-1]], out=pts[1:, 0])
+    np.cumsum((unit * np.sin(heading))[k[:-1]], out=pts[1:, 1])
     wi = w.i if isinstance(w, words.Word) else None
     wn = w.n if isinstance(w, words.Word) else None
     return Polyline(
@@ -199,9 +197,6 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
     """
     fp = words.five_partite(i, n)  # validates n >= 7 and the decomposition
     bits = fp.word.bits()
-    kcum = np.concatenate(
-        ([0], np.cumsum(_turn_signs(bits, parity), dtype=np.int64))
-    )
     whole = draw(fp.word, alpha, unit=unit, parity=parity)
     polys = []
     boxes = []
@@ -218,7 +213,8 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
                 turn_count=0,
             )
         )
-        boxes.append(oriented_box(pts, frame_angle=int(kcum[start]) * alpha))
+        frame = turn_count(bits[:start], parity) * alpha
+        boxes.append(oriented_box(pts, frame_angle=frame))
     return polys, boxes
 
 

@@ -70,14 +70,21 @@ def test_moran_identity(alpha):
     assert 4.0 * R**s + R ** (2.0 * s) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [math.pi / 2, math.pi / 3, 0.9, 0.15])
-def test_recurrence_matches_drawn_curves(alpha):
+# an i = 2 case is named by its alpha alone
+RECURRENCE_CASES = [pytest.param(alpha, i,
+                                 id=str(alpha) if i == 2 else "%s-%d" % (alpha, i))
+                    for i in (2, 4, 6)
+                    for alpha in (math.pi / 2, math.pi / 3, 0.9, 0.15)]
+
+
+@pytest.mark.parametrize("alpha,i", RECURRENCE_CASES)
+def test_recurrence_matches_drawn_curves(alpha, i):
     # route one: measure each curve; route two: run the recurrences from
-    # the first two widths and the first height
-    seeds = analysis.curve_seeds(2, alpha)
+    # the first two widths and the first height (exact for even i only)
+    seeds = analysis.curve_seeds(i, alpha)
     seq = analysis.wh_sequence(alpha, seeds, 5)
     for k, n in enumerate(range(10, 25, 3)):
-        st = turtle.curve_stats(turtle.draw(words.word_concat(2, n), alpha))
+        st = turtle.curve_stats(turtle.draw(words.word_concat(i, n), alpha))
         assert seq.w[k] == pytest.approx(st.w, rel=1e-10)
         assert seq.h[k] == pytest.approx(st.h, rel=1e-10)
 

@@ -256,6 +256,22 @@ def test_verify_full_level(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("alpha", ["pi/6", "pi/3", "pi/2"])
+@pytest.mark.parametrize("i", range(2, 8))
+def test_verify_curves_every_i(i, alpha, tmp_path):
+    # for odd i the width ratio is read two orders later than for even i
+    out = tmp_path / "r.json"
+    assert run(["verify", "--level", "curves", "--i", str(i), "--alpha", alpha,
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
+def test_verify_ifs_odd_i(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--level", "ifs", "--i", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"] is True
+
+
 def test_hausdorff_check_catches_approximate_kernel(monkeypatch):
     # an eps=1.0 k-d tree query may return a neighbour up to twice as far as
     # the nearest one; the check's point sets are large enough to see that
@@ -309,21 +325,35 @@ def test_no_temp_files_left_behind(tmp_path):
 # sweep
 
 
-def sweep_into(tmp_path, name, monkeypatch, threads):
+# SHA-256 of each file of `sweep --alphas pi/6,pi/3 --what dim,ifs,attractor
+# --depth 3`
+SWEEP_DIGESTS = {
+    "attractor_00.csv":
+        "b0bf476bd696a8938706f0dd3d807ff8676b8282dfec0c0f66c5056b5e08f9c4",
+    "attractor_01.csv":
+        "e5be58117b983137f5f70909320da6a617cb3686e2afc86bde37318e12f57d28",
+    "dim.csv": "71f5fc439adef1d58386633f20762b7e07ab84b4f9fd4aab6ca3eb2ea7d5afa4",
+    "ifs_00.json": "db3e9c3960d99527a4b8f014545ede88572e92a1aab815fbce04bb9de8e8a692",
+    "ifs_01.json": "57bf3d7c9a79706ff3cf6156661f69487e22e15acf849511d4df0003af5952f8",
+}
+
+
+def sweep_into(tmp_path, name, what):
     outdir = tmp_path / name
-    monkeypatch.setenv("FIBFRAC_THREADS", str(threads))
-    code = run(["sweep", "--alphas", "pi/6,pi/3", "--what", "dim,ifs",
-                "--out", str(outdir)])
+    code = run(["sweep", "--alphas", "pi/6,pi/3", "--what", what,
+                "--depth", "3", "--out", str(outdir)])
     assert code == 0
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
-def test_sweep_outputs_and_thread_independence(tmp_path, monkeypatch):
-    one = sweep_into(tmp_path, "t1", monkeypatch, 1)
-    two = sweep_into(tmp_path, "t2", monkeypatch, 2)
-    assert sorted(one) == ["dim.csv", "ifs_00.json", "ifs_01.json"]
-    assert one == two
-    doc = json.loads(one["ifs_00.json"].decode())
+def test_sweep_output_digests(tmp_path):
+    full = sweep_into(tmp_path, "full", "dim,ifs,attractor")
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in full.items()} == SWEEP_DIGESTS
+    part = sweep_into(tmp_path, "part", "dim,ifs")
+    assert sorted(part) == ["dim.csv", "ifs_00.json", "ifs_01.json"]
+    assert all(part[name] == full[name] for name in part)
+    doc = json.loads(part["ifs_00.json"].decode())
     assert doc["alpha"] == pytest.approx(math.pi / 6)
 
 
@@ -338,12 +368,6 @@ def test_sweep_attractor_files(tmp_path):
 def test_sweep_requires_out():
     with pytest.raises(SystemExit):
         run(["sweep", "--alphas", "pi/2"])
-
-
-def test_bad_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FIBFRAC_THREADS", "zero")
-    assert run(["sweep", "--alphas", "pi/2", "--what", "dim",
-                "--out", str(tmp_path / "s")]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +420,6 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
                          ids=[argv for argv, _, _ in GOLDEN])
-def test_golden_stdout(argv, code, digest, capsysbinary, monkeypatch):
-    monkeypatch.delenv("FIBFRAC_THREADS", raising=False)
+def test_golden_stdout(argv, code, digest, capsysbinary):
     assert run(argv.split()) == code
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest

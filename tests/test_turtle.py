@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibfrac import turtle, words
 from fibfrac.errors import DomainError
@@ -75,6 +77,35 @@ def test_heading_is_exact_multiple():
         assert p.turn_count == turtle.turn_count(w)
         assert p.final_heading == turtle.INITIAL_HEADING + p.turn_count * 0.37
         assert turtle.net_angle(w, 0.37) == p.final_heading
+
+
+def direct_draw(bits, alpha, unit, parity):
+    # one cos and sin per symbol, with the heading index counted from scratch
+    j = np.arange(1, bits.size + 1)
+    left = (j % 2 == 0) == (parity == "even-left")
+    turn = np.where(bits == 0, np.where(left, 1, -1), 0)
+    heading = math.pi / 2 + alpha * (np.cumsum(turn) - turn)
+    pts = np.zeros((bits.size + 1, 2))
+    pts[1:, 0] = np.cumsum(unit * np.cos(heading))
+    pts[1:, 1] = np.cumsum(unit * np.sin(heading))
+    return pts, int(turn.sum())
+
+
+# long runs of "01" or "10" put every 0 on one parity, so the heading index
+# drifts far from 0; runs of "0" alternate left and right turns
+RUNS = st.lists(st.tuples(st.sampled_from(["0", "1", "01", "10"]),
+                          st.integers(1, 400)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RUNS, st.floats(0.0, math.pi / 2), st.floats(0.01, 100.0),
+       st.sampled_from(turtle.PARITIES))
+def test_draw_equals_direct_formula_property(runs, alpha, unit, parity):
+    bits = words.as_bits("".join(piece * count for piece, count in runs))
+    want, k_total = direct_draw(bits, alpha, unit, parity)
+    p = turtle.draw(bits, alpha, unit=unit, parity=parity)
+    assert np.array_equal(p.points, want)
+    assert p.turn_count == k_total
 
 
 def test_bad_arguments():
