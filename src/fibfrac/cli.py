@@ -209,8 +209,6 @@ def _validate(args) -> None:
         _require(0 <= args.depth <= 12, "depth must be in 0..12, got %d" % (args.depth,))
     if given.get("budget") is not None:
         _require(args.budget >= 2, "budget must be >= 2, got %d" % (args.budget,))
-    if given.get("n_ref") is not None:
-        _require(args.n_ref >= 7, "n_ref must be >= 7, got %d" % (args.n_ref,))
 
     if "unit" in given:
         _require(0.0 < args.unit < math.inf,
@@ -314,13 +312,13 @@ def cmd_dim(args) -> int:
 
 
 def cmd_ifs(args) -> int:
-    F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
+    F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     _deliver((ifsmod.to_json(F) + "\n").encode("ascii"), args.out)
     return EXIT_OK
 
 
 def cmd_attractor(args) -> int:
-    F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
+    F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=args.depth, budget=args.budget)
     _deliver(points_csv(pts), args.out)
     return EXIT_OK
@@ -438,8 +436,8 @@ def _checks_ifs(args, rng) -> list:
     if args.negative_control:
         draw_parity = turtle.PARITIES[1 - turtle.PARITIES.index(args.parity)]
     try:
-        F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref,
-                              parity=args.parity, draw_parity=draw_parity)
+        F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity,
+                              draw_parity=draw_parity)
     except SelfSimilarityError as exc:
         out.append(_check("ifs.similarity_fit", False, 0.0, str(exc)))
         return out
@@ -516,7 +514,7 @@ def _checks_dim(args, rng: np.random.Generator) -> list:
 def _checks_full(args, rng) -> list:
     out = []
     try:
-        F = ifsmod.derive_ifs(args.i, args.alpha, n_ref=args.n_ref, parity=args.parity)
+        F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     except SelfSimilarityError as exc:
         out.append(_check("full.box_count_dimension", False, 0.0, str(exc)))
         return out
@@ -575,7 +573,7 @@ def cmd_sweep(args) -> int:
     if "ifs" not in args.what and "attractor" not in args.what:
         return EXIT_OK
     for idx, a in enumerate(args.alphas):
-        F = ifsmod.derive_ifs(args.i, a, n_ref=args.n_ref, parity=args.parity)
+        F = ifsmod.derive_ifs(args.i, a, parity=args.parity)
         if "ifs" in args.what:
             atomic_write(os.path.join(args.out, "ifs_%02d.json" % idx),
                          ifsmod.to_json(F).encode("ascii"))
@@ -608,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     unit = flag("--unit", type=float, default=1.0, help="segment length")
     parity = flag("--parity", choices=turtle.PARITIES, default="even-left",
                   help="which 0-positions turn left")
-    n_ref = flag("--n-ref", type=int,
-                 help="reference order for the junction validation")
     out = flag("--out", help="output file (stdout when omitted)")
     grid = [flag("--grid", type=int, default=9,
                  help="points on a uniform [0, pi/2] grid"),
@@ -645,15 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", help="also write an SVG graph of s(alpha)")
 
     add("ifs", "derive the five-map IFS, emit JSON", cmd_ifs,
-        [family, angle, n_ref, parity, out])
+        [family, angle, parity, out])
 
     p = add("attractor", "sample the attractor, emit CSV points", cmd_attractor,
-            [family, angle, n_ref, parity, out])
+            [family, angle, parity, out])
     p.add_argument("--depth", type=int, help="iteration depth (2 * 5^depth points)")
     p.add_argument("--budget", type=int, help="stop before exceeding this count")
 
     p = add("verify", "run module cross-checks, report margins", cmd_verify,
-            [family, angle, n_ref, parity, out])
+            [family, angle, parity, out])
     p.add_argument("--level", choices=list(_LEVELS),
                    default="full", help="cumulative check groups")
     p.add_argument("--negative-control", action="store_true",
@@ -661,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "similarity fit is expected to fail")
 
     p = add("sweep", "batch outputs over an alpha grid", cmd_sweep,
-            [family] + grid + [n_ref, parity])
+            [family] + grid + [parity])
     p.add_argument("--what", help="comma subset of dim,ifs,attractor "
                                   "(default dim,ifs)")
     p.add_argument("--depth", type=int, default=6,

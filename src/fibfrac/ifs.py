@@ -25,8 +25,14 @@ from .errors import (
 
 CHORD_LENGTH = math.sqrt(2.0)
 
-# converged recursion level per parity class (5 mod 6 and 3 mod 6)
-_CONVERGED_LEVEL = {0: 149, 1: 147}
+# (reference order, converged level) per parity of i: the drawn order that
+# validates the junction recursion and the order the maps are fitted at, both
+# 5 mod 6 for even i and 3 mod 6 for odd i
+_ORDERS = {0: (17, 149), 1: (15, 147)}
+
+# the five parts of f_m as (order offset, is an l-word):
+# f_m = f_{m-3} f_{m-3} f_{m-6} l_{m-3} l_{m-3}
+_PARTS = ((3, False), (3, False), (6, False), (3, True), (3, True))
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,12 @@ def fit_similarity(src, dst, allow_collinear: bool = False):
     (the fitted in-line map is still well defined and used internally for
     degenerate angles).
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 2:
-        raise DomainError("src and dst must be matching (N, 2) arrays")
+    src = turtle._as_points(src, "src")
+    dst = turtle._as_points(dst, "dst")
+    if src.shape != dst.shape:
+        raise DomainError("src and dst must hold the same number of landmarks")
     if src.shape[0] < 3:
         raise DomainError("need at least 3 landmarks, got %d" % src.shape[0])
-    if not (np.isfinite(src).all() and np.isfinite(dst).all()):
-        raise DomainError("landmarks must hold only finite coordinates")
     if not allow_collinear:
         sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
         if sv[0] == 0.0 or sv[1] <= 1e-9 * sv[0]:
@@ -145,30 +149,20 @@ def _psi(sym: int, pos: int, sgn: int) -> int:
     return sgn if pos % 2 == 0 else -sgn
 
 
-def _junction_indices(i: int, n: int) -> np.ndarray:
-    """Vertex indices of the six five-partite junction points of f_n."""
-    len3 = words.fib_length(i, n - 3)
-    len6 = words.fib_length(i, n - 6)
-    return np.array(
-        [0, len3, 2 * len3, 2 * len3 + len6, 3 * len3 + len6, 4 * len3 + len6]
-    )
-
-
 class _Skeleton:
     """Exact chord and junction-hexagon recursion for drawings of f_m and l_m.
 
-    Seeds for m <= 12 come from direct drawing; higher orders follow from the
-    five-partite assembly.  A part starting at an odd symbol offset sees the
-    position parity flipped, which mirrors its drawing across the initial
-    heading axis and negates its turn count; the bookkeeping here carries
-    both effects exactly.
+    Seeds for 7 <= m <= 12 come from direct drawing; higher orders follow
+    from the five-partite assembly.  A part starting at an odd symbol offset
+    sees the position parity flipped, which mirrors its drawing across the
+    initial heading axis and negates its turn count; the bookkeeping here
+    carries both effects exactly.  The junction hexagon of l_m is that of
+    f_m with its last point moved to l_m's endpoint.
     """
 
-    def __init__(self, i, alpha, parity="even-left", draw_parity=None, m_max=150):
-        self.i = i
+    def __init__(self, i, alpha, parity, draw_parity, m_max):
         self.alpha = alpha
         self.sgn = 1 if parity == "even-left" else -1
-        draw_parity = parity if draw_parity is None else draw_parity
         # exact arbitrary-precision lengths: only offset parities are needed,
         # and materializable-word limits do not apply to bookkeeping
         self.L = {1: 1, 2: i}
@@ -178,44 +172,36 @@ class _Skeleton:
         self.vl = {}  # chord vector of the l_m drawing
         self.K = {}  # net turn count of f_m
         self.Kl = {}
-        self.H = {}  # six-point junction hexagons, m >= 7
-        self.Hl = {}
-        for m in range(1, min(12, m_max) + 1):
+        self.H = {}  # six-point junction hexagons of f_m
+        # step 13 reads orders 10 and 7, the lowest any step reads
+        for m in range(7, 13):
             w = words.word_concat(i, m)
             p = turtle.draw(w, alpha, parity=draw_parity).points
-            self.v[m] = p[-1].copy()
+            self.v[m] = p[-1]
             self.K[m] = turtle.turn_count(w, parity=parity)
-            if self.L[m] >= 2:
-                lw = words.l_word_bits(i, m)
-                pl = turtle.draw(lw, alpha, parity=draw_parity).points
-                self.vl[m] = pl[-1].copy()
-                self.Kl[m] = turtle.turn_count(lw, parity=parity)
-            if m >= 7:
-                self.H[m] = p[_junction_indices(i, m)].copy()
-                self.Hl[m] = self.H[m].copy()
-                self.Hl[m][-1] = self.vl[m]
+            self.H[m] = p[self.cuts(m)]
+            lw = words.l_word_bits(i, m)
+            self.vl[m] = turtle.draw(lw, alpha, parity=draw_parity).points[-1]
+            self.Kl[m] = turtle.turn_count(lw, parity=parity)
         for m in range(13, m_max + 1):
             self._step(m)
 
-    def _part_plan(self, m):
+    def cuts(self, m):
+        """Symbol offsets of f_m's five part starts and its end, exact ints."""
         len3 = self.L[m - 3]
         len6 = self.L[m - 6]
-        offsets = (0, len3, 2 * len3, 2 * len3 + len6, 3 * len3 + len6)
-        orders = (m - 3, m - 3, m - 6, m - 3, m - 3)
-        use_l = (False, False, False, True, True)
-        return offsets, orders, use_l
+        return [0, len3, 2 * len3, 2 * len3 + len6, 3 * len3 + len6, 4 * len3 + len6]
 
     def _walk(self, m):
         """Part frames, the six junctions and the net turn of f_m's assembly."""
-        offsets, orders, use_l = self._part_plan(m)
         turn = 0
         junctions = [np.zeros(2)]
         frames = []
-        for k in range(5):
-            sub = orders[k]
-            flip = offsets[k] % 2 == 1
-            vsub = self.vl[sub] if use_l[k] else self.v[sub]
-            ksub = self.Kl[sub] if use_l[k] else self.K[sub]
+        for start, (back, is_l) in zip(self.cuts(m), _PARTS):
+            sub = m - back
+            flip = start % 2 == 1
+            vsub = self.vl[sub] if is_l else self.v[sub]
+            ksub = self.Kl[sub] if is_l else self.K[sub]
             frames.append(_rot(turn * self.alpha) @ (_MIRROR if flip else np.eye(2)))
             junctions.append(junctions[-1] + frames[-1] @ vsub)
             turn = turn + (-ksub if flip else ksub)
@@ -242,19 +228,17 @@ class _Skeleton:
             return np.array([math.cos(t), math.sin(t)])
 
         base = self.v[m] - seg(kpre + _psi(a1, length - 1, self.sgn)) - seg(kpre)
-        vl = base + seg(kpre) + seg(kpre + _psi(b1, length - 1, self.sgn))
-        self.vl[m] = vl
+        self.vl[m] = base + seg(kpre) + seg(kpre + _psi(b1, length - 1, self.sgn))
         self.Kl[m] = kpre + _psi(b1, length - 1, self.sgn) + _psi(a1, length, self.sgn)
-        self.Hl[m] = self.H[m].copy()
-        self.Hl[m][-1] = vl
 
     def part_hexagons(self, m):
         """Whole-curve hexagon and the five parts' own junction hexagons."""
-        _, orders, use_l = self._part_plan(m)
         frames, junctions, _ = self._walk(m)
         parts = []
-        for k in range(5):
-            hsub = self.Hl[orders[k]] if use_l[k] else self.H[orders[k]]
+        for k, (back, is_l) in enumerate(_PARTS):
+            hsub = self.H[m - back]
+            if is_l:
+                hsub = np.vstack([hsub[:-1], self.vl[m - back]])
             parts.append(junctions[k] + hsub @ frames[k].T)
         return self.H[m], parts
 
@@ -282,63 +266,44 @@ class IFS:
     frame: CanonicalFrame
 
 
-def derive_ifs(i: int, alpha: float, n_ref: int | None = None,
-               parity: str = "even-left", draw_parity: str | None = None) -> IFS:
+def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
+               draw_parity: str | None = None) -> IFS:
     """Recover the five maps from the self-similarity of the drawn curve.
 
-    The reference order n_ref (default 17 for even i, 15 for odd i) must be
-    5 mod 6 for even i and 3 mod 6 for odd i.  The junction recursion is
-    validated against the actually drawn curve at n_ref; any disagreement
+    The junction recursion is validated against the actually drawn curve at
+    the reference order, 17 for even i and 15 for odd i; any disagreement
     beyond 1e-6 of the curve diameter raises SelfSimilarityError, which is
     what a mis-set turn parity triggers.  Passing draw_parity different from
     parity deliberately constructs that failure (negative control).
 
-    The similarity parameters are fitted on junction hexagons at a converged
-    order, so they do not depend on n_ref beyond validation.
+    The similarity parameters are fitted on junction hexagons at the
+    converged order, 149 for even i and 147 for odd i, where the hexagons
+    are similar to machine precision.
     """
     if i < 2:
         raise DomainError("family index i must be >= 2, got %r" % (i,))
     if not 0.0 <= alpha <= math.pi / 2:
         raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
-    want = 5 if i % 2 == 0 else 3
-    if n_ref is None:
-        n_ref = 17 if i % 2 == 0 else 15
-    if n_ref % 6 != want:
-        raise DomainError(
-            "for i=%d the reference order must be %d (mod 6), got %d"
-            % (i, want, n_ref)
-        )
-    if n_ref < 7:
-        raise DomainError("reference order must be at least 7, got %d" % n_ref)
-    level = _CONVERGED_LEVEL[i % 2]
-    sk = _Skeleton(i, alpha, parity=parity, draw_parity=draw_parity,
-                   m_max=max(level, n_ref))
+    ref, level = _ORDERS[i % 2]
+    draw_parity = parity if draw_parity is None else draw_parity
+    sk = _Skeleton(i, alpha, parity, draw_parity, level)
 
     # validate the recursion against the drawn reference curve
-    drawn = turtle.draw(
-        words.word_concat(i, n_ref), alpha,
-        parity=parity if draw_parity is None else draw_parity,
-    ).points
-    lo = drawn.min(axis=0)
-    hi = drawn.max(axis=0)
-    diam = math.hypot(hi[0] - lo[0], hi[1] - lo[1])
-    tol = 1e-6 * diam
-    drawn_hex = drawn[_junction_indices(i, n_ref)]
-    if np.max(np.abs(drawn_hex - sk.H[n_ref])) > tol:
+    drawn = turtle.draw(words.word_concat(i, ref), alpha, parity=draw_parity).points
+    tol = 1e-6 * math.hypot(*np.ptp(drawn, axis=0))
+    cuts = sk.cuts(ref)
+    if np.max(np.abs(drawn[cuts] - sk.H[ref])) > tol:
         raise SelfSimilarityError(
             "junction recursion disagrees with the drawn curve at n=%d; "
-            "check the drawing-rule parity configuration" % n_ref
+            "check the drawing-rule parity configuration" % ref
         )
-    _, ref_parts = sk.part_hexagons(n_ref)
-    offsets, orders, _ = sk._part_plan(n_ref)
-    for k in range(5):
-        if orders[k] < 7:
-            continue
-        gidx = offsets[k] + _junction_indices(i, orders[k])
+    _, ref_parts = sk.part_hexagons(ref)
+    for k, (back, _) in enumerate(_PARTS):
+        gidx = [cuts[k] + c for c in sk.cuts(ref - back)]
         if np.max(np.abs(drawn[gidx] - ref_parts[k])) > tol:
             raise SelfSimilarityError(
                 "five-partite sub-curve %d disagrees with the drawn curve at "
-                "n=%d; check the drawing-rule parity configuration" % (k + 1, n_ref)
+                "n=%d; check the drawing-rule parity configuration" % (k + 1, ref)
             )
 
     # fit the maps at the converged order in the canonical frame

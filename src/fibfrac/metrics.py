@@ -33,12 +33,10 @@ def _brute_directed(queries: np.ndarray, ref: np.ndarray) -> float:
     return math.sqrt(worst)
 
 
-def directed_hausdorff(queries: np.ndarray, ref: np.ndarray,
-                       cell: float | None = None) -> float:
+def directed_hausdorff(queries: np.ndarray, ref: np.ndarray) -> float:
     """Exact max over queries of the distance to the nearest ref point.
 
-    One exact k-d tree nearest-neighbour query per point.  `cell` is accepted
-    for compatibility and ignored: every input size takes the same path.
+    One exact k-d tree nearest-neighbour query per point.
     """
     from scipy.spatial import cKDTree  # deferred: keeps `import fibfrac` light
 
@@ -58,7 +56,7 @@ def hausdorff_distance(a, b) -> float:
 def _box_count_offset(rel: np.ndarray, eps: float, frac: float) -> int:
     """Occupied cells for points already anchored at their bounding-box corner.
 
-    rel >= 0 and frac < 1 keep every cell index >= 0, so the row index needs
+    rel >= 0 and frac < 1 keep every grid index >= 0, so the row index needs
     no shift.
     """
     cells = np.floor((rel + frac * eps) / eps).astype(np.int64)
@@ -95,8 +93,8 @@ def box_counting_dimension(pts, eps_max: float | None = None,
     Scales are geometrically spaced.  By default eps_max is diameter/8 and
     the ladder descends by factors of sqrt(2) until cells average fewer than
     4 sample points, which guards against the sampling floor biasing the
-    slope down.  Counts are averaged over four diagonal quarter-cell grid
-    offsets.  Fewer than 5 usable levels is an error.
+    slope down.  Counts are averaged over four grid offsets, a quarter
+    box apart along the diagonal.  Fewer than 5 usable levels is an error.
     """
     pts = _as_pointset(pts, "A")
     lo = pts.min(axis=0)

@@ -190,17 +190,21 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
     """Five-partite split of the drawn curve, with one oriented box per part.
 
     Parts share their junction vertices, so part k ends where part k+1
-    starts.  Each part's box is aligned to that part's own drawing frame:
-    the global frame rotated by (entering turn count) * alpha, which is the
-    frame in which the part is a copy of a free-standing curve.  Returns
-    (list of five Polylines, list of five OrientedBoxes).
+    starts.  A part's turn_count is its own net turn, and its final_heading
+    is the global heading at its last vertex.  Each part's box is aligned to
+    that part's own drawing frame: the global frame rotated by (entering
+    turn count) * alpha, which is the frame in which the part is a copy of
+    a free-standing curve.  Returns (list of five Polylines, list of five
+    OrientedBoxes).
     """
     fp = words.five_partite(i, n)  # validates n >= 7 and the decomposition
     bits = fp.word.bits()
     whole = draw(fp.word, alpha, unit=unit, parity=parity)
     polys = []
     boxes = []
+    k1 = 0  # turn count of the prefix before the part; parts are contiguous
     for start, end in fp.parts:
+        k0, k1 = k1, turn_count(bits[:end], parity)
         pts = whole.points[start : end + 1]
         polys.append(
             Polyline(
@@ -209,12 +213,11 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
                 n=None,
                 alpha=alpha,
                 unit=unit,
-                final_heading=math.nan,
-                turn_count=0,
+                final_heading=INITIAL_HEADING + alpha * k1,
+                turn_count=k1 - k0,
             )
         )
-        frame = turn_count(bits[:start], parity) * alpha
-        boxes.append(oriented_box(pts, frame_angle=frame))
+        boxes.append(oriented_box(pts, frame_angle=k0 * alpha))
     return polys, boxes
 
 

@@ -266,9 +266,11 @@ def test_verify_curves_every_i(i, alpha, tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
-def test_verify_ifs_odd_i(tmp_path):
+@pytest.mark.parametrize("i", [3, 4, 5, 6, 7])
+def test_verify_ifs_every_i(tmp_path, i):
+    # i=2 is covered by test_verify_full_level
     out = tmp_path / "r.json"
-    assert run(["verify", "--level", "ifs", "--i", "3", "--out", str(out)]) == 0
+    assert run(["verify", "--level", "ifs", "--i", str(i), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"] is True
 
 
@@ -287,7 +289,7 @@ def test_hausdorff_check_catches_approximate_kernel(monkeypatch):
     exact = run_check()
     assert exact["passed"] and exact["margin"] == 1.0
 
-    def approximate(queries, ref, cell=None):
+    def approximate(queries, ref):
         dist, _ = cKDTree(ref).query(queries, k=1, eps=1.0)
         return float(dist.max())
 
@@ -415,11 +417,16 @@ GOLDEN = [
     ("curve --n 6 --alpha 2.0", 2, EMPTY),
     ("attractor --depth 3 --budget 10", 2, EMPTY),
     ("dim --alphas 0,xyz", 2, EMPTY),
+    ("ifs --n-ref 17", 2, EMPTY),  # argparse: unrecognized arguments
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
                          ids=[argv for argv, _, _ in GOLDEN])
 def test_golden_stdout(argv, code, digest, capsysbinary):
-    assert run(argv.split()) == code
+    try:
+        got = run(argv.split())
+    except SystemExit as exc:  # argparse's own usage errors
+        got = exc.code
+    assert got == code
     assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Similarity fitting, IFS derivation, attractor generation, and the OSC."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -132,21 +133,24 @@ def test_odd_family_chord_direction():
 def test_scale_spectrum_other_angles(alpha):
     rp = 1.0 + math.cos(alpha) + math.sqrt((1.0 + math.cos(alpha)) ** 2 + 1.0)
     R = 1.0 / rp
-    for i in (2, 3):
+    for i in range(2, 8):
         system = ifsmod.derive_ifs(i, alpha)
         assert [m.scale for m in system.maps] == pytest.approx(
             [R, R, R * R, R, R], rel=1e-9
         )
 
 
-def test_reference_order_independence():
-    a = ifsmod.derive_ifs(2, PI2, n_ref=17)
-    b = ifsmod.derive_ifs(2, PI2, n_ref=23)
-    for ma, mb in zip(a.maps, b.maps):
-        assert ma.scale == pytest.approx(mb.scale, rel=1e-12)
-        assert ma.rotation == pytest.approx(mb.rotation, abs=1e-12)
-        assert ma.reflect == mb.reflect
-        assert ma.translation == pytest.approx(mb.translation, abs=1e-12)
+def test_derived_ifs_digest():
+    # pins every bit of the fitted maps for i = 2..7, which no CLI digest covers
+    h = hashlib.sha256()
+    for i in range(2, 8):
+        for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, PI2):
+            for parity in ("even-left", "odd-left"):
+                system = ifsmod.derive_ifs(i, alpha, parity=parity)
+                h.update((ifsmod.to_json(system) + "\n").encode("ascii"))
+    assert h.hexdigest() == (
+        "26fdbf690f90b5affef025fa4da199aeb68efe6bc3f627b0fd2e995915c3fe78"
+    )
 
 
 def test_parity_mismatch_detected():
@@ -159,10 +163,10 @@ def test_derive_argument_validation():
         ifsmod.derive_ifs(1, PI2)
     with pytest.raises(DomainError):
         ifsmod.derive_ifs(2, 2.0)
-    with pytest.raises(DomainError):
-        ifsmod.derive_ifs(2, PI2, n_ref=18)
-    with pytest.raises(DomainError):
-        ifsmod.derive_ifs(3, PI2, n_ref=17)
+    # the reference order is fixed; a third positional argument is refused
+    # rather than taken as the parity
+    with pytest.raises(TypeError):
+        ifsmod.derive_ifs(2, PI2, 17)
 
 
 def test_attractor_counts():

@@ -24,12 +24,6 @@ def brute_directed(q, r):
     return float(np.sqrt(d2.min(axis=1).max()))
 
 
-def union_diag(q, r):
-    lo = np.minimum(q.min(axis=0), r.min(axis=0))
-    hi = np.maximum(q.max(axis=0), r.max(axis=0))
-    return float(np.hypot(*(hi - lo)))
-
-
 def random_pair(rng, clustered):
     nq = int(rng.integers(2, 800))
     nr = int(rng.integers(2, 800))
@@ -52,13 +46,11 @@ def test_directed_matches_brute_force():
         )
 
 
-def test_grid_path_matches_brute_force():
-    # cell= is still accepted and changes nothing: the answer stays exact
+def test_directed_matches_brute_force_second_seed():
     rng = np.random.default_rng(23)
     for trial in range(25):
         q, r = random_pair(rng, clustered=trial % 3 == 0)
-        cell = union_diag(q, r) / 64
-        assert metrics.directed_hausdorff(q, r, cell=cell) == pytest.approx(
+        assert metrics.directed_hausdorff(q, r) == pytest.approx(
             brute_directed(q, r), abs=1e-12
         )
 
@@ -67,7 +59,6 @@ def test_subset_distance_is_zero():
     rng = np.random.default_rng(29)
     r = rng.uniform(-2, 2, size=(6000, 2))
     assert metrics.directed_hausdorff(r[::3], r) == 0.0
-    assert metrics.directed_hausdorff(r[::3], r, cell=0.05) == 0.0
 
 
 def test_metric_axioms():

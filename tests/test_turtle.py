@@ -205,6 +205,16 @@ def test_subcurve_boxes_contain_their_parts():
         assert np.all(np.abs(rel @ v) <= box.half[1] + 1e-9)
 
 
+@pytest.mark.parametrize("i,n,alpha", [(2, 11, 1.0), (3, 12, 0.7), (2, 17, PI2)])
+def test_subcurves_turn_metadata(i, n, alpha):
+    polys, _ = turtle.subcurves(i, n, alpha)
+    whole = turtle.draw(words.word_concat(i, n), alpha)
+    assert sum(p.turn_count for p in polys) == whole.turn_count
+    assert polys[-1].final_heading == whole.final_heading
+    for p in polys:
+        assert math.isfinite(turtle.curve_stats(p).net_angle)
+
+
 def test_subcurves_need_order_seven():
     with pytest.raises(DomainError):
         turtle.subcurves(2, 6, 1.0)
