@@ -1,15 +1,19 @@
 """End-to-end command-line behavior, formats, and exit codes."""
 
 import hashlib
+import io
 import json
 import math
-import os
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibfrac import cli, words
+from fibfrac.errors import DomainError
 
 
 def run(args):
@@ -370,6 +374,98 @@ def test_sweep_attractor_files(tmp_path):
 def test_sweep_requires_out():
     with pytest.raises(SystemExit):
         run(["sweep", "--alphas", "pi/2"])
+
+
+# ---------------------------------------------------------------------------
+# point writers, each checked against the writer it replaced
+
+
+def _savetxt_csv(pts):
+    buf = io.BytesIO()
+    np.savetxt(buf, pts, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def _joined_svg_path(pts):
+    def g(v):
+        return format(v, ".9g")
+
+    return "M" + "L".join("%s %s" % (g(x), g(y)) for x, y in zip(pts[:, 0], -pts[:, 1]))
+
+
+def _svg_path(doc):
+    return re.search(rb'<path d="([^"]*)"', doc).group(1).decode("ascii")
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1e300, 1e-300, 1e22, 1e-7, 0.1, -1.5]
+
+
+def _rows_with_runs(draw_row):
+    # a list of rows, each repeated one to four times in a row
+    runs = st.lists(st.tuples(draw_row, st.integers(1, 4)), max_size=40)
+    return runs.map(lambda rs: np.array([r for r, k in rs for _ in range(k)],
+                                        dtype=np.float64).reshape(-1, 2))
+
+
+_any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+_finite_float = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_runs(st.one_of(st.tuples(_any_float, _any_float),
+                                 st.tuples(_signed_zero, _signed_zero))))
+def test_points_csv_matches_savetxt(pts):
+    assert cli.points_csv(pts) == _savetxt_csv(pts)
+
+
+def _block_case(n, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    pts[1::3] = pts[0::3][:len(pts[1::3])]  # a repeated row every third row
+    edges = np.array(EDGE_FLOATS)
+    pts.ravel()[5::7] = edges[np.arange(len(pts.ravel()[5::7])) % len(edges)]
+    return pts
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
+                               cli.CSV_BLOCK_ROWS + 1, 65_535, 65_536, 65_537])
+def test_points_csv_block_sizes(n):
+    pts = _block_case(n)
+    assert cli.points_csv(pts) == _savetxt_csv(pts)
+
+
+def test_points_csv_runs_across_block_boundary():
+    b = cli.CSV_BLOCK_ROWS
+    pts = _block_case(2 * b + 3, seed=1)
+    pts[b - 5:b + 7] = pts[b - 5]
+    pts[2 * b - 1:] = [-0.0, 0.0]
+    assert cli.points_csv(pts) == _savetxt_csv(pts)
+    same = np.full((b + 1, 2), 0.1)
+    assert cli.points_csv(same) == b"0.10000000000000001,0.10000000000000001\n" * (b + 1)
+
+
+def test_points_csv_signed_zeros_are_distinct_rows():
+    pts = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
+                    [-0.0, -0.0], [0.0, 0.0]])
+    assert cli.points_csv(pts) == b"0,0\n-0,0\n-0,0\n0,-0\n-0,-0\n0,0\n"
+    assert cli.points_csv(pts) == _savetxt_csv(pts)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (3, 1), (2, 2, 2), ()])
+def test_points_csv_rejects_other_shapes(shape):
+    with pytest.raises(DomainError):
+        cli.points_csv(np.zeros(shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_with_runs(st.tuples(_finite_float, _finite_float)).filter(len))
+def test_svg_path_matches_per_point_join(pts):
+    assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
 
 
 # ---------------------------------------------------------------------------
