@@ -5,13 +5,16 @@
 Runs BENCHMARK.json's command for each workload at --trace 0 (end-to-end
 metrics) and --trace 1 (per-layer metrics) and keeps each run's last two
 stdout lines: the detail object and the result object.  "dirty" is true
-when tracked files differ from the commit "sha".
+when tracked files differ from the commit "sha".  A run that exits non-zero
+(perfbench/run.py does so when an operation fails its check) stops the
+script with a non-zero exit before any file is written.
 """
 
 import argparse
 import json
 import os
 import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,6 +37,10 @@ def main() -> None:
             cmd = bench["command"] + ["--workload", workload["name"], "--seed", str(args.seed),
                                       "--seconds", str(bench["run_seconds"]), "--trace", trace]
             out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+            if out.returncode != 0:
+                sys.stderr.write(out.stderr)
+                sys.exit("bench_record: %s exited %d; nothing recorded"
+                         % (" ".join(cmd), out.returncode))
             runs.append({"command": " ".join(cmd),
                          "stdout_tail": [json.loads(s) for s in out.stdout.splitlines()[-2:]]})
     record = {"sha": _git("rev-parse", "HEAD"),

@@ -42,6 +42,8 @@ CURVE_COLOR = "#1a5fb4"
 BBOX_COLOR = "#e01b24"
 
 MAX_SEGMENTS = 20_000_000  # drawing cap; keeps vertex buffers in memory
+# deepest attractor whose 2 * 5^depth points fit under the same cap
+MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 MAX_WORD_CHARS = 200_000_000
 # rows per % call in points_csv.  Larger blocks are no faster, and their
 # strings, freed between the output buffer's growth steps, leave heap holes
@@ -225,15 +227,9 @@ def _validate(args) -> None:
         _require(length <= cap, "f_%d^[%d] has %d symbols, over the %d cap"
                  % (args.n, args.i, length, cap))
 
-    if sub == "attractor":
-        _require(args.depth is None or args.budget is None,
-                 "give --depth or --budget, not both")
-        if args.depth is None and args.budget is None:
-            args.depth = 7
-    if given.get("depth") is not None:
-        _require(0 <= args.depth <= 12, "depth must be in 0..12, got %d" % (args.depth,))
-    if given.get("budget") is not None:
-        _require(args.budget >= 2, "budget must be >= 2, got %d" % (args.budget,))
+    if "depth" in given:
+        _require(0 <= args.depth <= MAX_DEPTH,
+                 "depth must be in 0..%d, got %d" % (MAX_DEPTH, args.depth))
 
     if "unit" in given:
         _require(0.0 < args.unit < math.inf,
@@ -344,7 +340,7 @@ def cmd_ifs(args) -> int:
 
 def cmd_attractor(args) -> int:
     F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
-    pts = ifsmod.attractor(F, depth=args.depth, budget=args.budget)
+    pts = ifsmod.attractor(F, depth=args.depth)
     _deliver(points_csv(pts), args.out)
     return EXIT_OK
 
@@ -449,7 +445,7 @@ def _checks_curves(args, rng) -> list:
         n_box = 17
     else:
         n_box = 15
-    ok = turtle.endpoints_on_box(args.i, n_box, math.pi / 2, parity=args.parity)
+    ok = turtle.endpoints_on_box(args.i, n_box, parity=args.parity)
     out.append(_check("curves.endpoints_on_box", ok, float(ok),
                       "axis-aligned box at pi/2, n = %d" % (n_box,)))
     return out
@@ -475,8 +471,8 @@ def _checks_ifs(args, rng) -> list:
     out.append(_tol_check("ifs.scale_spectrum", err, 1e-6,
                           "scales against (R, R, R^2, R, R)"))
 
-    tol = 1e-9
-    err = tol - ifsmod.verify_osc(F, tolerance=tol).margin
+    tol = ifsmod.OSC_TOLERANCE
+    err = tol - ifsmod.verify_osc(F).margin
     out.append(_tol_check("ifs.open_set_condition", err, tol,
                           "hull image overlap or excess %.3g against %.3g"
                           % (err, tol)))
@@ -670,8 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("attractor", "sample the attractor, emit CSV points", cmd_attractor,
             [family, angle, parity, out])
-    p.add_argument("--depth", type=int, help="iteration depth (2 * 5^depth points)")
-    p.add_argument("--budget", type=int, help="stop before exceeding this count")
+    p.add_argument("--depth", type=int, default=7,
+                   help="iteration depth, 2 * 5^depth points (default %(default)s)")
 
     p = add("verify", "run module cross-checks, report margins", cmd_verify,
             [family, angle, parity, out])

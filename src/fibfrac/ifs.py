@@ -24,6 +24,7 @@ from .errors import (
 )
 
 CHORD_LENGTH = math.sqrt(2.0)
+OSC_TOLERANCE = 1e-9  # how far images of V may reach out of V or overlap
 
 # (reference order, converged level) per parity of i: the drawn order that
 # validates the junction recursion and the order the maps are fitted at, both
@@ -332,30 +333,18 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     )
 
 
-def attractor(ifs: IFS, depth: int | None = None,
-              budget: int | None = None) -> np.ndarray:
+def attractor(ifs: IFS, depth: int) -> np.ndarray:
     """Deterministic iteration of the IFS from the two chord endpoints.
 
     V_0 is the canonical seed pair; each level replaces V with the five map
     images concatenated in map order, so depth d gives exactly 2 * 5^d points
-    in canonical depth-first order with duplicates kept.  Budget mode stops
-    before the count would exceed `budget`.
+    in canonical depth-first order with duplicates kept.
     """
-    if depth is None and budget is None:
-        raise DomainError("need a depth or a point budget")
-    if depth is not None and depth < 0:
+    if depth < 0:
         raise DomainError("depth must be >= 0, got %r" % (depth,))
-    if budget is not None and budget < 2:
-        raise DomainError("budget must allow at least the 2 seed points")
     pts = ifs.frame.seeds()
-    level = 0
-    while True:
-        if depth is not None and level >= depth:
-            break
-        if budget is not None and 5 * pts.shape[0] > budget:
-            break
+    for _ in range(depth):
         pts = np.vstack([m.apply(pts) for m in ifs.maps])
-        level += 1
     return pts
 
 
@@ -421,7 +410,7 @@ def _width(poly: np.ndarray) -> float:
     return float((reach.max(axis=0) - reach.min(axis=0)).min())
 
 
-def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
+def verify_osc(ifs: IFS) -> OSCReport:
     """Check the open set condition with V the interior of the attractor's hull.
 
     The hull is the fixed point of K -> conv(K u f_k(K)), built from the five
@@ -429,20 +418,20 @@ def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     measured as the largest excess of an image's support over the hull's
     support along the hull's edge normals, and interior disjointness as the
     separating-axis overlap between two images.  A pair counts as disjoint
-    only if its overlap is at most min(tolerance, 1e-3 of the narrower
+    only if its overlap is at most min(OSC_TOLERANCE, 1e-3 of the narrower
     image's width): touching images overlap by round-off, a duplicated map
     by a whole width, so a thin attractor cannot hide a duplicate under the
     absolute tolerance.  A hull that is a segment, or no wider than
-    `tolerance` along some edge normal, cannot resolve an overlap; V is then
+    OSC_TOLERANCE along some edge normal, cannot resolve an overlap; V is then
     the square with the chord as its diagonal, which each map carries to the
     square on its own sub-chord.
-    margin is the slack left under `tolerance`, with each overlap rescaled
-    so that its limit maps onto `tolerance`; positive margin means both
+    margin is the slack left under OSC_TOLERANCE, with each overlap rescaled
+    so that its limit maps onto OSC_TOLERANCE; positive margin means both
     checks passed.
     """
     V = _attractor_hull(ifs)
     # a two-vertex hull has width 0 across its own edge
-    if _width(V) <= tolerance:
+    if _width(V) <= OSC_TOLERANCE:
         s0, s1 = ifs.frame.seeds()
         mid, half = (s0 + s1) / 2.0, (s1 - s0) / 2.0
         perp = np.array([-half[1], half[0]])
@@ -458,14 +447,14 @@ def verify_osc(ifs: IFS, tolerance: float = 1e-9) -> OSCReport:
     count = len(image_polys)
     for j in range(count):
         for k in range(j + 1, count):
-            limit = min(tolerance, 1e-3 * min(widths[j], widths[k]))
+            limit = min(OSC_TOLERANCE, 1e-3 * min(widths[j], widths[k]))
             overlap = turtle._polygon_overlap(image_polys[j], image_polys[k])
-            overlap *= tolerance / limit
+            overlap *= OSC_TOLERANCE / limit
             if overlap > worst_overlap:
                 worst_overlap = overlap
-    contained = worst_violation <= tolerance
-    disjoint = worst_overlap <= tolerance
-    margin = tolerance - max(worst_violation, worst_overlap)
+    contained = worst_violation <= OSC_TOLERANCE
+    disjoint = worst_overlap <= OSC_TOLERANCE
+    margin = OSC_TOLERANCE - max(worst_violation, worst_overlap)
     return OSCReport(
         contained=contained,
         pairwise_disjoint=disjoint,

@@ -162,9 +162,6 @@ def _normalized_curve(i: int, n: int, alpha: float) -> np.ndarray:
 class ConvergenceReport:
     """Hausdorff distances between successive normalized curves."""
 
-    i: int
-    alpha: float
-    ks: tuple
     orders: tuple
     distances: tuple
     rate: float
@@ -193,9 +190,7 @@ def convergence_report(i: int, alpha: float, k_list) -> ConvergenceReport:
         rate = float(math.exp(slope))
     else:
         rate = math.nan
-    return ConvergenceReport(
-        i=i, alpha=alpha, ks=ks, orders=orders, distances=dists, rate=rate
-    )
+    return ConvergenceReport(orders=orders, distances=dists, rate=rate)
 
 
 def continuity_probe(i: int, alpha: float, delta: float, depth: int) -> float:

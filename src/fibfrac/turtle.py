@@ -39,10 +39,6 @@ class Polyline:
     """An ordered run of 2D vertices produced by the drawing rule."""
 
     points: np.ndarray
-    i: int | None
-    n: int | None
-    alpha: float
-    unit: float
     final_heading: float
     turn_count: int
 
@@ -69,16 +65,8 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
     pts = np.zeros((bits.size + 1, 2), dtype=np.float64)
     np.cumsum((unit * np.cos(heading))[k[:-1]], out=pts[1:, 0])
     np.cumsum((unit * np.sin(heading))[k[:-1]], out=pts[1:, 1])
-    wi = w.i if isinstance(w, words.Word) else None
-    wn = w.n if isinstance(w, words.Word) else None
     return Polyline(
-        points=pts,
-        i=wi,
-        n=wn,
-        alpha=alpha,
-        unit=unit,
-        final_heading=INITIAL_HEADING + alpha * k_total,
-        turn_count=k_total,
+        points=pts, final_heading=INITIAL_HEADING + alpha * k_total, turn_count=k_total
     )
 
 
@@ -185,8 +173,7 @@ def oriented_box(p, frame_angle: float = 0.0) -> OrientedBox:
     return OrientedBox(center=center, axis=u, half=half)
 
 
-def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
-              parity: str = "even-left"):
+def subcurves(i: int, n: int, alpha: float, parity: str = "even-left"):
     """Five-partite split of the drawn curve, with one oriented box per part.
 
     Parts share their junction vertices, so part k ends where part k+1
@@ -199,7 +186,7 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
     """
     fp = words.five_partite(i, n)  # validates n >= 7 and the decomposition
     bits = fp.word.bits()
-    whole = draw(fp.word, alpha, unit=unit, parity=parity)
+    whole = draw(fp.word, alpha, parity=parity)
     polys = []
     boxes = []
     k1 = 0  # turn count of the prefix before the part; parts are contiguous
@@ -209,10 +196,6 @@ def subcurves(i: int, n: int, alpha: float, unit: float = 1.0,
         polys.append(
             Polyline(
                 points=pts,
-                i=i,
-                n=None,
-                alpha=alpha,
-                unit=unit,
                 final_heading=INITIAL_HEADING + alpha * k1,
                 turn_count=k1 - k0,
             )
@@ -275,18 +258,15 @@ def check_box_residue(i: int, n: int) -> None:
         )
 
 
-def endpoints_on_box(i: int, n: int, alpha: float = math.pi / 2,
-                     parity: str = "even-left") -> bool:
-    """True iff both curve endpoints sit on the axis-aligned bounding box edge.
+def endpoints_on_box(i: int, n: int, parity: str = "even-left") -> bool:
+    """True iff both endpoints of the curve drawn at pi/2 sit on its bounding box.
 
-    Only defined at alpha = pi/2 where the bounding box is axis-aligned, for
+    At pi/2 the bounding box is axis-aligned.  The claim holds for
     n = 5 (mod 6) when i is even and n = 3 (mod 6) when i is odd.  For even i
     the endpoints land exactly on box corners; for odd i they sit on the top
     and bottom edges.
     """
     check_box_residue(i, n)
-    if abs(alpha - math.pi / 2) > 1e-12:
-        raise DomainError("endpoints_on_box is defined for alpha = pi/2 only")
     p = draw(words.word_concat(i, n), math.pi / 2, parity=parity)
     pts = p.points
     lo = pts.min(axis=0)

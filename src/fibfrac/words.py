@@ -43,14 +43,12 @@ def fib_length(i: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """A finite binary word f_n^[i], stored bit-packed LSB-first.
+    """A finite binary word, stored bit-packed LSB-first with zero padding.
 
     Equality compares symbol content only, so words built by different
     routes compare equal when they spell the same string.
     """
 
-    i: int
-    n: int
     packed: np.ndarray
     length: int
 
@@ -77,12 +75,12 @@ class Word:
 
     def __repr__(self):
         head = self.text() if self.length <= 40 else self.text()[:37] + "..."
-        return "Word(i=%d, n=%d, %r, length=%d)" % (self.i, self.n, head, self.length)
+        return "Word(%r, length=%d)" % (head, self.length)
 
 
-def _word_from_bits(i: int, n: int, bits: np.ndarray) -> Word:
+def _word_from_bits(bits: np.ndarray) -> Word:
     packed = np.packbits(bits, bitorder="little")
-    return Word(i=i, n=n, packed=packed, length=int(bits.size))
+    return Word(packed=packed, length=int(bits.size))
 
 
 def as_bits(w) -> np.ndarray:
@@ -107,12 +105,12 @@ def word_concat(i: int, n: int) -> Word:
     fib_length(i, n)  # domain and overflow checks
     a = np.zeros(1, dtype=np.uint8)
     if n == 1:
-        return _word_from_bits(i, n, a)
+        return _word_from_bits(a)
     b = np.zeros(i, dtype=np.uint8)
     b[-1] = 1
     for _ in range(n - 2):
         a, b = b, np.concatenate((b, a))
-    return _word_from_bits(i, n, b)
+    return _word_from_bits(b)
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,7 @@ def word_by_substitution(i: int, n: int) -> Word:
         raise StructureError(
             "substitution gave %d symbols, expected %d" % (bits.size, length)
         )
-    return _word_from_bits(i, n, bits)
+    return _word_from_bits(bits)
 
 
 def two_adic_distance(w, v) -> float:
@@ -198,7 +196,6 @@ class FivePartite:
 
     word: Word
     parts: tuple
-    kinds: tuple
 
 
 def five_partite(i: int, n: int) -> FivePartite:
@@ -223,14 +220,13 @@ def five_partite(i: int, n: int) -> FivePartite:
     l3[-2], l3[-1] = l3[-1], l3[-2]
     expected = (f3, f3, f6, l3, l3)
     parts = tuple((cuts[k], cuts[k + 1]) for k in range(5))
-    kinds = (("f", n - 3), ("f", n - 3), ("f", n - 6), ("l", n - 3), ("l", n - 3))
     for (start, end), ref in zip(parts, expected):
         if not np.array_equal(bits[start:end], ref):
             raise StructureError(
                 "part [%d:%d] of f_%d^[%d] does not match its expected word"
                 % (start, end, n, i)
             )
-    return FivePartite(word=w, parts=parts, kinds=kinds)
+    return FivePartite(word=w, parts=parts)
 
 
 PalindromeSplit = namedtuple("PalindromeSplit", ["p", "ab"])
@@ -265,11 +261,11 @@ def to_text(w: Word) -> bytes:
     return (w.bits() + np.uint8(ord("0"))).tobytes() + b"\n"
 
 
-def from_text(data: bytes, i: int = 2, n: int = 1) -> Word:
-    """Parse the text serialization back into a Word tagged (i, n)."""
+def from_text(data: bytes) -> Word:
+    """Parse the text serialization back into a Word."""
     body = data[:-1] if data.endswith(b"\n") else data
     bits = as_bits(body)
-    return _word_from_bits(i, n, bits)
+    return _word_from_bits(bits)
 
 
 def to_binary(w: Word) -> bytes:
@@ -277,8 +273,8 @@ def to_binary(w: Word) -> bytes:
     return struct.pack("<Q", w.length) + w.packed.tobytes()
 
 
-def from_binary(data: bytes, i: int = 2, n: int = 1) -> Word:
-    """Parse the binary serialization back into a Word tagged (i, n)."""
+def from_binary(data: bytes) -> Word:
+    """Parse the binary serialization back into a Word; padding bits must be 0."""
     if len(data) < 8:
         raise DomainError("binary word data shorter than its 8-byte header")
     (length,) = struct.unpack("<Q", data[:8])
@@ -289,4 +285,8 @@ def from_binary(data: bytes, i: int = 2, n: int = 1) -> Word:
             % (nbytes, length, len(data) - 8)
         )
     packed = np.frombuffer(data[8:], dtype=np.uint8)
-    return Word(i=i, n=n, packed=packed.copy(), length=int(length))
+    # equality and hashing compare the packed bytes, padding included
+    if length % 8 and packed[-1] >> (length % 8):
+        raise DomainError("binary word has non-zero padding bits after symbol %d"
+                          % (length,))
+    return Word(packed=packed.copy(), length=int(length))

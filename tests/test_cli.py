@@ -224,16 +224,25 @@ def test_attractor_row_count(tmp_path):
     assert np.loadtxt(out, delimiter=",").shape == (50, 2)
 
 
-def test_attractor_budget(tmp_path):
-    out = tmp_path / "a.csv"
-    assert run(["attractor", "--budget", "100", "--out", str(out)]) == 0
-    assert np.loadtxt(out, delimiter=",").shape == (50, 2)
-
-
-def test_attractor_usage_errors(tmp_path):
+def test_attractor_usage_errors():
+    assert run(["attractor", "--depth", "-1"]) == 2
     assert run(["attractor", "--depth", "13"]) == 2
-    assert run(["attractor", "--depth", "3", "--budget", "10"]) == 2
-    assert run(["attractor", "--budget", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["attractor"], ["sweep", "--what", "attractor"]])
+def test_depth_cap_follows_max_segments(argv, tmp_path, monkeypatch):
+    # 2 * 5^10 = 19.5M points fit under the drawing cap, 2 * 5^11 do not
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "sweep")]
+    cli._validate(cli.build_parser().parse_args(argv + ["--depth", "10"]))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an over-deep run started work")
+
+    # the cap is checked before any map is derived or point made
+    monkeypatch.setattr(cli.ifsmod, "derive_ifs", no_work)
+    assert run(argv + ["--depth", "11"]) == 2
+    assert 2 * 5 ** cli.MAX_DEPTH <= cli.MAX_SEGMENTS < 2 * 5 ** (cli.MAX_DEPTH + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +514,14 @@ GOLDEN = [
      "f6d757fd6715d299bca68d0744749bf367ca826234dc0030a13919ecddf56a16"),
     ("attractor --depth 3", 0,
      "657f71a37fd25ab66b89913f37a614e1dc041e5fa4dbbef8267a6cba9c4e5d6c"),
-    ("attractor --budget 100", 0,
+    ("attractor --depth 2", 0,
      "4524b0ea5d90cd0394b4cffc397680196629654baa90e29b59da332d2f346fe4"),
     ("verify --level words", 0,
      "ab991c1fe46b00e1cd8621ad8328a377b399f31cd8049f8625acfa2a20ca4886"),
     ("word --i 1 --n 3", 2, EMPTY),
     ("curve --n 6 --alpha 2.0", 2, EMPTY),
     ("attractor --depth 3 --budget 10", 2, EMPTY),
+    ("attractor --budget 100", 2, EMPTY),  # argparse: unrecognized arguments
     ("dim --alphas 0,xyz", 2, EMPTY),
     ("ifs --n-ref 17", 2, EMPTY),  # argparse: unrecognized arguments
 ]

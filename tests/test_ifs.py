@@ -177,21 +177,12 @@ def test_attractor_counts():
         assert ifsmod.attractor(system, depth=d).shape == (2 * 5**d, 2)
 
 
-def test_attractor_budget_mode():
-    system = ifsmod.derive_ifs(2, PI2)
-    assert ifsmod.attractor(system, budget=100).shape[0] == 50
-    assert ifsmod.attractor(system, budget=250).shape[0] == 250
-    assert ifsmod.attractor(system, budget=2).shape[0] == 2
-
-
 def test_attractor_argument_validation():
     system = ifsmod.derive_ifs(2, PI2)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):  # the depth is required
         ifsmod.attractor(system)
     with pytest.raises(DomainError):
         ifsmod.attractor(system, depth=-1)
-    with pytest.raises(DomainError):
-        ifsmod.attractor(system, budget=1)
 
 
 def test_attractor_levels_nest():

@@ -197,6 +197,18 @@ def test_dimension_auto_ladder_on_attractor():
     assert rep.fit_r2 > 0.99
 
 
+@pytest.mark.parametrize("i", range(2, 8))
+def test_box_count_slope_matches_dimension_every_i(i):
+    # the Moran ratios (R, R, R^2, R, R) do not depend on i, so neither does
+    # s; the ladder and tolerances are verify --level full's
+    att = ifsmod.attractor(ifsmod.derive_ifs(i, PI2), depth=8)
+    diam = float(math.hypot(*(att.max(axis=0) - att.min(axis=0))))
+    rep = metrics.box_counting_dimension(att, eps_max=diam / 8.0,
+                                         eps_min=diam / 512.0, levels=7, alpha=PI2)
+    assert rep.boxcount_s == pytest.approx(rep.analytic_s, abs=0.1)
+    assert rep.fit_r2 >= 0.98
+
+
 def test_dimension_argument_validation():
     pts = np.zeros((10, 2))
     with pytest.raises(DomainError):

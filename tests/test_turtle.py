@@ -272,5 +272,3 @@ def test_endpoints_on_box(i, n):
 def test_endpoints_on_box_guards():
     with pytest.raises(DomainError):
         turtle.endpoints_on_box(2, 16)
-    with pytest.raises(DomainError):
-        turtle.endpoints_on_box(2, 17, alpha=1.0)

@@ -175,7 +175,7 @@ def test_text_round_trip():
             w = words.word_concat(i, n)
             data = words.to_text(w)
             assert data.endswith(b"\n")
-            back = words.from_text(data, i=i, n=n)
+            back = words.from_text(data)
             assert np.array_equal(back.bits(), w.bits())
 
 
@@ -187,8 +187,19 @@ def test_binary_round_trip_and_header():
     packed = np.frombuffer(blob[8:], dtype=np.uint8)
     assert np.array_equal(np.unpackbits(packed, bitorder="little")[:length],
                           w.bits())
-    back = words.from_binary(blob, i=2, n=10)
+    back = words.from_binary(blob)
     assert np.array_equal(back.bits(), w.bits())
+    assert back == w and hash(back) == hash(w)
+
+
+def test_from_binary_rejects_padding_bits():
+    w = words.word_concat(2, 6)  # 13 symbols: the last byte has 3 padding bits
+    blob = bytearray(words.to_binary(w))
+    blob[-1] |= 0x80
+    # the symbols are unchanged, but the padding would make the word compare
+    # unequal to w, hash differently and be written back out
+    with pytest.raises(DomainError):
+        words.from_binary(bytes(blob))
 
 
 def test_from_text_rejects_garbage():
