@@ -524,9 +524,10 @@ def _checks_dim(args, rng: np.random.Generator) -> list:
         # search would show here
         a = rng.random((rng.integers(50, 401), 2)) * 3.0
         b = rng.random((rng.integers(50, 401), 2)) * 3.0
-        worst = max(worst, abs(metrics.hausdorff_distance(a, b)
-                               - max(metrics._brute_directed(a, b),
-                                     metrics._brute_directed(b, a))))
+        ab = metrics._brute_directed(a, b)
+        ba = metrics._brute_directed(b, a)
+        worst = max(worst, abs(metrics.hausdorff_distance(a, b) - max(ab, ba)),
+                    abs(metrics.directed_hausdorff(a, b) - ab))
     out.append(_tol_check("dim.hausdorff_grid_vs_brute", worst, 1e-12,
                           "20 random point-set pairs"))
     return out

@@ -54,32 +54,20 @@ class Similarity:
         t = complex(self.translation[0], self.translation[1])
         return a, t
 
+    def _apply_complex(self, z: np.ndarray, out=None) -> np.ndarray:
+        # numpy rounds a * z and z * a differently, and `a * np.conj(z)`
+        # computes the second in place on the temporary; np.multiply(a, ...)
+        # always computes the first, so `apply` and `attractor` agree to the bit
+        a, t = self._coeffs()
+        out = np.multiply(a, np.conj(z) if self.reflect else z, out=out)
+        out += t
+        return out
+
     def apply(self, pts) -> np.ndarray:
         """Transform an (N, 2) point array."""
         pts = np.asarray(pts, dtype=np.float64)
-        z = pts[..., 0] + 1j * pts[..., 1]
-        if self.reflect:
-            z = np.conj(z)
-        a, t = self._coeffs()
-        out = a * z + t
+        out = self._apply_complex(pts[..., 0] + 1j * pts[..., 1])
         return np.stack([out.real, out.imag], axis=-1)
-
-    def compose(self, other: "Similarity") -> "Similarity":
-        """The similarity applying `other` first, then this one."""
-        a1, t1 = self._coeffs()
-        a2, t2 = other._coeffs()
-        if self.reflect:
-            a = a1 * np.conj(a2)
-            t = a1 * np.conj(t2) + t1
-        else:
-            a = a1 * a2
-            t = a1 * t2 + t1
-        return Similarity(
-            scale=abs(a),
-            rotation=math.atan2(a.imag, a.real),
-            reflect=self.reflect != other.reflect,
-            translation=(t.real, t.imag),
-        )
 
 
 def _fit_complex(src: np.ndarray, dst: np.ndarray):
@@ -344,7 +332,12 @@ def attractor(ifs: IFS, depth: int) -> np.ndarray:
         raise DomainError("depth must be >= 0, got %r" % (depth,))
     pts = ifs.frame.seeds()
     for _ in range(depth):
-        pts = np.vstack([m.apply(pts) for m in ifs.maps])
+        n = pts.shape[0]
+        z = pts[:, 0] + 1j * pts[:, 1]
+        images = np.empty(len(ifs.maps) * n, dtype=np.complex128)
+        for k, m in enumerate(ifs.maps):
+            m._apply_complex(z, out=images[k * n:(k + 1) * n])
+        pts = images.view(np.float64).reshape(-1, 2)  # (re, im) rows
     return pts
 
 

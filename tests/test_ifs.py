@@ -42,15 +42,6 @@ def test_similarity_reflect_conjugates_first():
     assert np.allclose(out, [[0.5, -2.0]])
 
 
-def test_compose_matches_sequential_apply():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(20, 2))
-    for _ in range(25):
-        f, g = rand_sim(rng), rand_sim(rng)
-        assert np.allclose(f.compose(g).apply(pts), f.apply(g.apply(pts)),
-                           atol=1e-12)
-
-
 def test_fit_recovers_random_similarity():
     rng = np.random.default_rng(5)
     for _ in range(25):

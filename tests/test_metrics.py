@@ -122,9 +122,14 @@ COORDS = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def pointsets(draw):
-    """Small 2D point sets, including duplicates, lattices and collinear sets."""
+    """Small 2D point sets: general, duplicates, runs, lattices, collinear sets.
+
+    "runs" repeats each row 1-4 times in a row and then appends rows drawn
+    from the set, so a point repeats both next to itself and far from it.
+    """
     n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["general", "duplicates", "lattice", "collinear"]))
+    kind = draw(st.sampled_from(["general", "duplicates", "runs", "lattice",
+                                 "collinear"]))
     if kind == "collinear":
         origin = draw(hnp.arrays(np.float64, 2, elements=COORDS))
         direction = draw(hnp.arrays(np.float64, 2, elements=COORDS))
@@ -137,7 +142,28 @@ def pointsets(draw):
     if kind == "duplicates":
         idx = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))
         pts = pts[idx]
+    if kind == "runs":
+        reps = draw(hnp.arrays(np.intp, n, elements=st.integers(1, 4)))
+        idx = draw(hnp.arrays(np.intp, draw(st.integers(0, n)),
+                              elements=st.integers(0, n - 1)))
+        pts = np.concatenate([np.repeat(pts, reps, axis=0), pts[idx]])
     return pts
+
+
+def drop_repeats_reference(pts):
+    keep = [j for j in range(len(pts)) if j == 0 or tuple(pts[j]) != tuple(pts[j - 1])]
+    return pts[keep]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pointsets())
+@example(np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0]]))
+def test_drop_repeats_keeps_every_other_row(pts):
+    # only a row equal to the row before it goes; a repeat further away stays
+    got = metrics._drop_repeats(pts)
+    assert np.array_equal(got, drop_repeats_reference(pts))
+    if got.shape[0] == pts.shape[0]:
+        assert got is pts  # nothing repeats: no copy
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +194,50 @@ def test_box_count_hand_values():
     assert metrics.box_count(corners, 0.4) == 4
     with pytest.raises(DomainError):
         metrics.box_count(corners, 0.0)
+
+
+def unique_box_count(rel, eps, frac):
+    # the kernel's cell arithmetic, counted by sorting every key
+    cells = np.floor((rel + frac * eps) / eps).astype(np.int64)
+    span = cells[:, 1].max() + 1
+    return np.unique(cells[:, 0] * span + cells[:, 1]).size, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+       st.integers(0, 2**32 - 1), st.integers(0, 30))
+def test_occupancy_count_equals_unique_count(n, sparse, frac, seed, extra):
+    # the corners (0, 0) and (1, 1) fix the grid at about (g + 1)^2 cells;
+    # g is picked below or above the 8 cells-per-point switch
+    rng = np.random.default_rng(seed)
+    rel = np.concatenate([[[0.0, 0.0], [1.0, 1.0]], rng.uniform(size=(n, 2))])
+    root = math.isqrt(8 * rel.shape[0])
+    g = root + 1 + extra if sparse else max(1, root - 2 - extra)
+    eps = 1.0 / g
+    want, cells = unique_box_count(rel, eps, frac)
+    size = (cells[:, 0].max() + 1) * (cells[:, 1].max() + 1)
+    assert (size > 8 * rel.shape[0]) == sparse
+    assert metrics._box_count_offset(rel, eps, frac) == want
+
+
+def test_default_ladder_on_repeated_points_matches_unique_reference():
+    # every point twice in a row: the kernel counts the distinct points, but
+    # the sampling floor must still divide by all of them
+    att = ifsmod.attractor(ifsmod.derive_ifs(2, PI2), depth=6)
+    pts = np.repeat(att, 2, axis=0)
+    rep = metrics.box_counting_dimension(pts)
+    rel = pts - pts.min(axis=0)
+    diam = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
+    scales, counts = [], []
+    for eps in diam / 8.0 / math.sqrt(2.0) ** np.arange(0, 40):
+        avg = np.mean([unique_box_count(rel, float(eps), f)[0]
+                       for f in (0.0, 0.25, 0.5, 0.75)])
+        if pts.shape[0] / avg < 4.0:
+            break
+        scales.append(float(eps))
+        counts.append(float(avg))
+    assert rep.scales_used == tuple(scales)
+    assert rep.counts == tuple(counts)
 
 
 def test_dimension_of_segment():
