@@ -77,7 +77,7 @@ def wh_sequence(alpha: float, seeds: tuple, k_max: int) -> WHSequence:
 
     The returned a, b solve w_k = a r_plus^k + b r_minus^k through the two
     width seeds.  For even i these recurrences are exact on the order class
-    n = 1 (mod 3); see curve_seeds for defaults drawn from that class.  For
+    n = 1 (mod 3), from which curve_seeds takes its orders.  For
     odd i the width recurrence is exact on no order class: its relative
     residual is smallest on n = 4 (mod 6) and decays there without
     vanishing (2.9e-6 at n = 22 and 8.5e-8 at n = 28 for i = 3, alpha = pi/2).
@@ -104,20 +104,16 @@ def wh_sequence(alpha: float, seeds: tuple, k_max: int) -> WHSequence:
     return WHSequence(w=w, h=h, a=float(a), b=float(b))
 
 
-def curve_seeds(i: int, alpha: float, n1: int = 10,
-                parity: str = "even-left") -> tuple:
-    """Measure (w1, w2, h1) seeds from the drawn curves of orders n1, n1 + 3.
+def curve_seeds(i: int, alpha: float, parity: str = "even-left") -> tuple:
+    """Measure (w1, w2, h1) seeds from the drawn curves of orders 10 and 13.
 
-    The default n1 = 10 lies in the order class n = 1 (mod 3) on which the
-    recurrences hold exactly at every alpha for even i.  For odd i they hold
-    only approximately on every class; see wh_sequence.
+    Order 10 lies in the order class n = 1 (mod 3) on which the recurrences
+    hold exactly at every alpha for even i.  For odd i they hold only
+    approximately on every class; see wh_sequence.
     """
-    if n1 % 3 != 1:
-        raise DomainError("seed order n1 must be 1 (mod 3), got %d" % n1)
-    s1 = turtle.curve_stats(turtle.draw(words.word_concat(i, n1), alpha,
-                                        parity=parity))
-    s2 = turtle.curve_stats(turtle.draw(words.word_concat(i, n1 + 3), alpha,
-                                        parity=parity))
+    s1, s2 = (turtle.curve_stats(turtle.draw(words.word_concat(i, n), alpha,
+                                             parity=parity))
+              for n in (10, 13))
     return (s1.w, s2.w, s1.h)
 
 

@@ -477,11 +477,14 @@ def _checks_ifs(args, rng) -> list:
                           "hull image overlap or excess %.3g against %.3g"
                           % (err, tol)))
 
+    # the paper's claim: the normalized curves tend to the maps' attractor
+    n = 23 if args.i % 2 == 0 else 21
+    curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=7)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    res = ifsmod.invariance_residual(F, pts)
-    out.append(_tol_check("ifs.invariance_residual", res, 0.02 * diam,
-                          "depth-7 sample against its own map images"))
+    err = metrics.hausdorff_distance(curve, pts)
+    out.append(_tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
+                          "normalized f_%d against the depth-7 attractor" % (n,)))
 
     G = ifsmod.from_json(ifsmod.to_json(F))
     ok = (G.alpha == F.alpha and G.parity == F.parity
@@ -552,8 +555,8 @@ def _checks_full(args, rng) -> list:
     out.append(_tol_check("full.box_count_fit_quality", 1.0 - rep.fit_r2, 0.02,
                           "log-log fit r2"))
 
-    conv = metrics.convergence_report(args.i, args.alpha, (1, 2, 3))
-    ok = all(b < a for a, b in zip(conv.distances, conv.distances[1:]))
+    dists = metrics.convergence_report(args.i, args.alpha, (1, 2, 3))
+    ok = all(b < a for a, b in zip(dists, dists[1:]))
     out.append(_check("full.curve_convergence", ok, float(ok),
                       "successive normalized curves draw closer"))
     return out

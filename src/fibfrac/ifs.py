@@ -455,17 +455,6 @@ def verify_osc(ifs: IFS) -> OSCReport:
     )
 
 
-def invariance_residual(ifs: IFS, pts) -> float:
-    """Hausdorff distance between the union of the five map images and pts."""
-    from . import metrics
-
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise DomainError("point set must contain at least 2 points")
-    union = np.vstack([m.apply(pts) for m in ifs.maps])
-    return metrics.hausdorff_distance(union, pts)
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -491,23 +480,44 @@ def to_json(ifs: IFS) -> str:
     )
 
 
+def _finite(v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError("non-finite number %r" % (v,))
+    return v
+
+
+def _map_from_json(m) -> Similarity:
+    scale = _finite(m["scale"])
+    if scale <= 0.0:
+        raise ValueError("map scale must be positive, got %r" % (scale,))
+    if not isinstance(m["reflect"], bool):
+        raise ValueError("reflect must be true or false, got %r" % (m["reflect"],))
+    return Similarity(scale=scale, rotation=_finite(m["rotation"]),
+                      reflect=m["reflect"],
+                      translation=(_finite(m["tx"]), _finite(m["ty"])))
+
+
 def from_json(text: str) -> IFS:
-    """Rebuild an IFS from its JSON serialization."""
-    data = json.loads(text)
-    maps = tuple(
-        Similarity(
-            scale=float(m["scale"]),
-            rotation=float(m["rotation"]),
-            reflect=bool(m["reflect"]),
-            translation=(float(m["tx"]), float(m["ty"])),
+    """Rebuild an IFS from its JSON serialization.
+
+    Malformed input raises DomainError: a missing key or a wrong type, a
+    parity other than "even" or "odd", a non-finite number, a scale that is
+    not positive, or other than five maps.
+    """
+    try:
+        data = json.loads(text)
+        if data["parity"] not in ("even", "odd"):
+            raise ValueError('parity must be "even" or "odd", got %r'
+                             % (data["parity"],))
+        maps = tuple(_map_from_json(m) for m in data["maps"])
+        if len(maps) != 5:
+            raise ValueError("an IFS needs exactly five maps, got %d" % len(maps))
+        return IFS(
+            maps=maps,
+            alpha=_finite(data["alpha"]),
+            parity=data["parity"],
+            frame=CanonicalFrame(chord_direction=_finite(data["chord_direction"])),
         )
-        for m in data["maps"]
-    )
-    if len(maps) != 5:
-        raise DomainError("an IFS needs exactly five maps, got %d" % len(maps))
-    return IFS(
-        maps=maps,
-        alpha=float(data["alpha"]),
-        parity=str(data["parity"]),
-        frame=CanonicalFrame(chord_direction=float(data["chord_direction"])),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError("malformed IFS JSON: %s" % (exc,)) from None

@@ -1,6 +1,9 @@
 """Point-set metric kernels: Hausdorff distance, box counting, probes.
 
-Both kernels are exact, and both use structure their inputs already have.
+The box-count dimension is the slope over a ladder of scales the caller
+gives; the probes return plain Hausdorff distances between normalized
+curves, or between attractors at nearby angles.  Both kernels are exact, and
+both use structure their inputs already have.
 
 - Repeated points.  The attractor lists every junction point twice, in
   adjacent rows.  Neither a Hausdorff distance nor a box count depends on
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, turtle, words
+from . import turtle, words
 from . import ifs as ifs_mod
 from .errors import DomainError
 
@@ -107,75 +110,37 @@ def _box_count_offset(rel: np.ndarray, eps: float, frac: float) -> int:
     return int(np.count_nonzero(occupied))
 
 
-def box_count(pts, eps: float) -> int:
-    """Occupied cells of a side-eps grid anchored at the bounding-box corner."""
-    pts = _as_pointset(pts, "A")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive, got %r" % (eps,))
-    return _box_count_offset(pts - pts.min(axis=0), eps, 0.0)
-
-
 @dataclass(frozen=True)
 class DimensionReport:
-    """Box-count dimension estimate next to the analytic value."""
+    """Box-count dimension estimate and the quality of its log-log fit."""
 
-    analytic_s: float
     boxcount_s: float
     fit_r2: float
-    scales_used: tuple
-    counts: tuple
 
 
-def box_counting_dimension(pts, eps_max: float | None = None,
-                           eps_min: float | None = None, levels: int | None = None,
-                           alpha: float | None = None) -> DimensionReport:
+def box_counting_dimension(pts, eps_max: float, eps_min: float,
+                           levels: int) -> DimensionReport:
     """Least-squares slope of log N(eps) against log(1/eps).
 
-    Scales are geometrically spaced.  By default eps_max is diameter/8 and
-    the ladder descends by factors of sqrt(2) until cells average fewer than
-    4 sample points, which guards against the sampling floor biasing the
-    slope down.  Counts are averaged over four grid offsets, a quarter
-    box apart along the diagonal.  Fewer than 5 usable levels is an error.
-    The floor counts every given point, repeats included; the grids count
-    the distinct ones.
+    The ladder has `levels` >= 5 scales, geometrically spaced from eps_max
+    down to eps_min.  Counts are averaged over four grid offsets, a quarter
+    box apart along the diagonal.
     """
-    pts = _as_pointset(pts, "A")
-    n_given = pts.shape[0]
-    pts = _drop_repeats(pts)
+    pts = _distinct_pointset(pts, "A")
+    if not 0.0 < eps_min < eps_max < math.inf:
+        raise DomainError("need a finite eps_max > eps_min > 0")
+    if levels < 5:
+        raise DomainError("need at least 5 levels, got %d" % levels)
     lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    diam = math.hypot(hi[0] - lo[0], hi[1] - lo[1])
-    if diam == 0.0:
+    if (pts.max(axis=0) == lo).all():
         raise DomainError("all points coincide; no scaling range")
-    if eps_max is None:
-        eps_max = diam / 8.0
-    if not eps_max > 0.0 or (eps_min is not None and not 0.0 < eps_min < eps_max):
-        raise DomainError("need eps_max > eps_min > 0")
-    scales = []
-    counts = []
-    if eps_min is not None:
-        if levels is None:
-            levels = 12
-        if levels < 5:
-            raise DomainError("need at least 5 levels, got %d" % levels)
-        ladder = np.geomspace(eps_max, eps_min, levels)
-    else:
-        ratio = math.sqrt(2.0)
-        ladder = eps_max / ratio ** np.arange(0, 40)
+    scales = np.geomspace(eps_max, eps_min, levels)
     rel = pts - lo
-    for eps in ladder:
-        avg = np.mean(
-            [_box_count_offset(rel, float(eps), f) for f in (0.0, 0.25, 0.5, 0.75)]
-        )
-        if eps_min is None and n_given / avg < 4.0:
-            break  # sampling floor: cells no longer hold enough points
-        scales.append(float(eps))
-        counts.append(float(avg))
-    if len(scales) < 5:
-        raise DomainError(
-            "only %d usable scale levels; need at least 5" % len(scales)
-        )
-    x = np.log(1.0 / np.asarray(scales))
+    counts = [
+        np.mean([_box_count_offset(rel, float(eps), f) for f in (0.0, 0.25, 0.5, 0.75)])
+        for eps in scales
+    ]
+    x = np.log(1.0 / scales)
     y = np.log(np.asarray(counts))
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -183,58 +148,30 @@ def box_counting_dimension(pts, eps_max: float | None = None,
     ss_res = float(((y - yhat) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    analytic = analysis.hausdorff_dimension(alpha) if alpha is not None else math.nan
-    return DimensionReport(
-        analytic_s=analytic,
-        boxcount_s=float(coef[0]),
-        fit_r2=r2,
-        scales_used=tuple(scales),
-        counts=tuple(counts),
-    )
+    return DimensionReport(boxcount_s=float(coef[0]), fit_r2=r2)
 
 
-def _normalized_curve(i: int, n: int, alpha: float) -> np.ndarray:
+def _normalized_curve(i: int, n: int, alpha: float,
+                      parity: str = "even-left") -> np.ndarray:
     """Drawn curve rescaled so its chord has length sqrt(2) (orientation kept)."""
-    pts = turtle.draw(words.word_concat(i, n), alpha).points
+    pts = turtle.draw(words.word_concat(i, n), alpha, parity=parity).points
     chord = math.hypot(pts[-1, 0], pts[-1, 1])
     if chord > 0.0:
         pts = pts * (math.sqrt(2.0) / chord)
     return pts
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Hausdorff distances between successive normalized curves."""
+def convergence_report(i: int, alpha: float, k_list) -> tuple:
+    """d_H between the normalized curves of order n(k) and n(k) + 6, per k.
 
-    orders: tuple
-    distances: tuple
-    rate: float
-
-
-def convergence_report(i: int, alpha: float, k_list) -> ConvergenceReport:
-    """d_H between the normalized curves of order n(k) and n(k) + 6.
-
-    n(k) = 6k + 5 for even i and 6k + 3 for odd i.  Also fits a geometric
-    decay rate to the distances (nan when a distance vanishes or only one
-    k is given).
+    n(k) = 6k + 5 for even i and 6k + 3 for odd i.
     """
     base = 5 if i % 2 == 0 else 3
-    ks = tuple(int(k) for k in k_list)
-    orders = tuple(6 * k + base for k in ks)
-    dists = []
-    for n in orders:
-        a_pts = _normalized_curve(i, n, alpha)
-        b_pts = _normalized_curve(i, n + 6, alpha)
-        dists.append(hausdorff_distance(a_pts, b_pts))
-    dists = tuple(dists)
-    if len(dists) >= 2 and min(dists) > 0.0:
-        xs = np.asarray(ks, dtype=np.float64)
-        ys = np.log(np.asarray(dists))
-        slope = np.polyfit(xs, ys, 1)[0]
-        rate = float(math.exp(slope))
-    else:
-        rate = math.nan
-    return ConvergenceReport(orders=orders, distances=dists, rate=rate)
+    return tuple(
+        hausdorff_distance(_normalized_curve(i, 6 * k + base, alpha),
+                           _normalized_curve(i, 6 * k + base + 6, alpha))
+        for k in k_list
+    )
 
 
 def continuity_probe(i: int, alpha: float, delta: float, depth: int) -> float:

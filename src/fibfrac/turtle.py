@@ -78,11 +78,6 @@ def turn_count(w, parity: str = "even-left") -> int:
     return int(_turn_signs(bits, parity).sum(dtype=np.int64))
 
 
-def net_angle(w, alpha: float, parity: str = "even-left") -> float:
-    """Final heading pi/2 + alpha * (sum of turns); pi/2 for the empty word."""
-    return INITIAL_HEADING + alpha * turn_count(w, parity)
-
-
 @dataclass(frozen=True)
 class CurveStats:
     """Chord width, perpendicular height, aspect ratio, and net heading."""
@@ -282,19 +277,3 @@ def endpoints_on_box(i: int, n: int, parity: str = "even-left") -> bool:
         )
         ok = ok and on_edge
     return ok
-
-
-def collinear_run_lengths(p, tol: float = 1e-9) -> np.ndarray:
-    """Lengths of maximal collinear same-direction runs of segments."""
-    pts = _as_points(p)
-    d = np.diff(pts, axis=0)
-    if d.shape[0] == 0:
-        return np.zeros(0)
-    seglen = np.hypot(d[:, 0], d[:, 1])
-    if d.shape[0] == 1:
-        return seglen
-    cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
-    dot = (d[:-1] * d[1:]).sum(axis=1)
-    straight = (np.abs(cross) <= tol * seglen[:-1] * seglen[1:]) & (dot > 0)
-    starts = np.concatenate(([0], np.flatnonzero(~straight) + 1))
-    return np.add.reduceat(seglen, starts)

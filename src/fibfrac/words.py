@@ -84,20 +84,24 @@ def _word_from_bits(bits: np.ndarray) -> Word:
 
 
 def as_bits(w) -> np.ndarray:
-    """Coerce a Word, '0'/'1' string or bytes, or 0/1 sequence to a uint8 array."""
+    """Coerce a Word, '0'/'1' string or bytes, or 0/1 sequence to a uint8 array.
+
+    Any other symbol, such as 2, -1, 0.5 or "a", raises DomainError.
+    """
     if isinstance(w, Word):
         return w.bits()
     if isinstance(w, str):
-        w = w.encode("ascii")
+        w = w.encode("ascii", "replace")  # non-ASCII becomes "?", rejected below
     if isinstance(w, (bytes, bytearray)):
         arr = np.frombuffer(bytes(w), dtype=np.uint8) - np.uint8(ord("0"))
     else:
-        arr = np.asarray(w, dtype=np.uint8)
+        arr = np.asarray(w)
     if arr.ndim != 1:
         raise DomainError("symbol sequence must be one-dimensional")
-    if arr.size and int(arr.max(initial=0)) > 1:
+    # checked before the cast, which would truncate 1.7 to 1 and wrap -1 to 255
+    if not ((arr == 0) | (arr == 1)).all():
         raise DomainError("symbols must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def word_concat(i: int, n: int) -> Word:
@@ -113,42 +117,23 @@ def word_concat(i: int, n: int) -> Word:
     return _word_from_bits(b)
 
 
-@dataclass(frozen=True)
-class BlockSeq:
-    """A word written as blocks, tag 0 for B0 = "0" and tag 1 for B1 = 0^(i-1) 1."""
-
-    i: int
-    blocks: np.ndarray
-
-
-def substitute(b: BlockSeq) -> BlockSeq:
-    """One application of the substitution at block level: B0 -> B1, B1 -> B1 B0."""
-    tags = np.asarray(b.blocks, dtype=np.uint8)
-    counts = (1 + tags).astype(np.int64)
-    out = np.zeros(int(counts.sum()), dtype=np.uint8)
-    starts = np.zeros(tags.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    out[starts] = 1
-    return BlockSeq(i=b.i, blocks=out)
-
-
-def flatten_blocks(b: BlockSeq) -> np.ndarray:
-    """Expand block tags to symbols: B0 -> "0", B1 -> 0^(i-1) 1."""
-    tags = np.asarray(b.blocks, dtype=np.uint8)
-    counts = np.where(tags == 0, 1, b.i).astype(np.int64)
-    ends = np.cumsum(counts)
-    out = np.zeros(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    out[ends[tags == 1] - 1] = 1
-    return out
-
-
 def word_by_substitution(i: int, n: int) -> Word:
-    """Build f_n^[i] by applying the substitution n-1 times to f_1 = "0"."""
+    """Build f_n^[i] by applying the substitution n-1 times to f_1 = "0".
+
+    The substitution acts on block tags, 0 for B0 = "0" and 1 for
+    B1 = 0^(i-1) 1: B0 -> B1 and B1 -> B1 B0.  Expanding the final tags gives
+    the word.  This is the reference that word_concat is checked against.
+    """
     length = fib_length(i, n)
-    b = BlockSeq(i=i, blocks=np.zeros(1, dtype=np.uint8))
+    tags = np.zeros(1, dtype=np.uint8)
     for _ in range(n - 1):
-        b = substitute(b)
-    bits = flatten_blocks(b)
+        ends = np.cumsum(1 + tags.astype(np.int64))
+        new = np.zeros(int(ends[-1]), dtype=np.uint8)
+        new[ends - 1 - tags] = 1  # each tag's image starts with B1
+        tags = new
+    ends = np.cumsum(np.where(tags == 0, 1, i).astype(np.int64))
+    bits = np.zeros(int(ends[-1]), dtype=np.uint8)
+    bits[ends[tags == 1] - 1] = 1  # B1 ends in its only 1
     if bits.size != length:
         raise StructureError(
             "substitution gave %d symbols, expected %d" % (bits.size, length)

@@ -159,9 +159,8 @@ def test_08_box_count_cross_check():
     att = ifsmod.attractor(system, depth=9)
     diam = float(math.hypot(*(att.max(axis=0) - att.min(axis=0))))
     rep = metrics.box_counting_dimension(att, eps_max=diam / 8,
-                                         eps_min=diam / 1024, levels=8,
-                                         alpha=PI2)
-    assert abs(rep.boxcount_s - rep.analytic_s) < 0.05
+                                         eps_min=diam / 1024, levels=8)
+    assert abs(rep.boxcount_s - analysis.hausdorff_dimension(PI2)) < 0.05
     assert rep.fit_r2 > 0.99
     assert time.monotonic() - t0 < 60.0
 

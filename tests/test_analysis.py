@@ -113,8 +113,6 @@ def test_seed_validation():
     with pytest.raises(DomainError):
         analysis.wh_sequence(1.0, (1.0, 2.0, 1.0), 1)
     with pytest.raises(DomainError):
-        analysis.curve_seeds(2, 1.0, n1=9)
-    with pytest.raises(DomainError):
         analysis.characteristic_roots(-0.2)
     with pytest.raises(DomainError):
         analysis.aspect_limit(2.0)

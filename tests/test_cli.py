@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, formats, and exit codes."""
 
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import cli, words
+from fibfrac import cli, ifs as ifsmod, words
 from fibfrac.errors import DomainError
 
 
@@ -267,6 +269,9 @@ def test_verify_full_level(tmp_path):
     assert rep["level"] == "full"
     assert len(rep["checks"]) == 24
     assert all(c["passed"] for c in rep["checks"])
+    check = next(c for c in rep["checks"]
+                 if c["name"] == "ifs.curve_approaches_attractor")
+    assert check["margin"] >= 0.5
 
 
 @pytest.mark.parametrize("alpha", ["pi/6", "pi/3", "pi/2"])
@@ -285,6 +290,28 @@ def test_verify_ifs_every_i(tmp_path, i):
     out = tmp_path / "r.json"
     assert run(["verify", "--level", "ifs", "--i", str(i), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("i,turn,shift", [(2, 0.2, 0.0), (3, -0.2, 0.0),
+                                          (2, 0.0, 0.05), (3, 0.0, -0.05)])
+def test_curve_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
+    # one map turned or moved carries the attractor away from the curves
+    derive = ifsmod.derive_ifs
+
+    def perturbed(*args, **kwargs):
+        F = derive(*args, **kwargs)
+        m = F.maps[0]
+        m = dataclasses.replace(m, rotation=m.rotation + turn,
+                                translation=(m.translation[0] + shift,
+                                             m.translation[1]))
+        return dataclasses.replace(F, maps=(m,) + F.maps[1:])
+
+    monkeypatch.setattr(ifsmod, "derive_ifs", perturbed)
+    args = argparse.Namespace(i=i, alpha=math.pi / 2, parity="even-left",
+                              negative_control=False)
+    check = next(c for c in cli._checks_ifs(args, None)
+                 if c["name"] == "ifs.curve_approaches_attractor")
+    assert not check["passed"]
 
 
 def test_hausdorff_check_catches_approximate_kernel(monkeypatch):

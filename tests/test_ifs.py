@@ -1,12 +1,14 @@
 """Similarity fitting, IFS derivation, attractor generation, and the OSC."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fibfrac import ifs as ifsmod
 from fibfrac.errors import (
@@ -54,6 +56,25 @@ def test_fit_recovers_random_similarity():
         rot_diff = (fit.rotation - m.rotation) % (2 * math.pi)
         assert min(rot_diff, 2 * math.pi - rot_diff) < 1e-12
         assert fit.translation == pytest.approx(m.translation, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.1, 10.0), st.floats(-math.pi, math.pi), st.booleans(),
+       st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+       hnp.arrays(np.float64, st.tuples(st.integers(3, 12), st.just(2)),
+                  elements=st.integers(-1000, 1000).map(lambda k: k / 100.0)))
+def test_fit_recovers_similarity_property(scale, rotation, reflect, tx, ty, src):
+    sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+    assume(sv[1] > 0.05 * sv[0])  # landmarks well off a common line
+    m = ifsmod.Similarity(scale=scale, rotation=rotation, reflect=reflect,
+                          translation=(tx, ty))
+    fit, rms = ifsmod.fit_similarity(src, m.apply(src))
+    assert rms < 1e-9
+    assert fit.reflect == reflect
+    assert fit.scale == pytest.approx(scale, rel=1e-9)
+    turn = (fit.rotation - rotation) % (2 * math.pi)
+    assert min(turn, 2 * math.pi - turn) < 1e-9
+    assert fit.translation == pytest.approx((tx, ty), abs=1e-9)
 
 
 def test_fit_rejects_degenerate_landmarks():
@@ -254,14 +275,6 @@ def test_osc_negative_control_duplicate_map(i, alpha):
     assert report.margin <= 0.0
 
 
-@pytest.mark.parametrize("alpha", [0.2, math.pi / 3, PI2])
-def test_invariance_residual_small(alpha):
-    system = ifsmod.derive_ifs(2, alpha)
-    pts = ifsmod.attractor(system, depth=6)
-    diam = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
-    assert ifsmod.invariance_residual(system, pts) < 0.02 * diam
-
-
 def test_json_round_trip_exact():
     system = ifsmod.derive_ifs(2, 0.8)
     back = ifsmod.from_json(ifsmod.to_json(system))
@@ -272,9 +285,42 @@ def test_json_round_trip_exact():
 
 
 def test_json_layout():
-    import json
-
     doc = json.loads(ifsmod.to_json(ifsmod.derive_ifs(2, PI2)))
     assert set(doc) == {"alpha", "parity", "chord_direction", "maps"}
     assert len(doc["maps"]) == 5
     assert set(doc["maps"][0]) == {"scale", "rotation", "reflect", "tx", "ty"}
+
+
+def _set_map(k, **fields):
+    def change(doc):
+        doc["maps"][k].update(fields)
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    lambda doc: doc.pop("alpha"),
+    lambda doc: doc["maps"][0].pop("tx"),
+    lambda doc: doc.update(parity="sideways"),
+    lambda doc: doc.update(alpha=math.nan),
+    lambda doc: doc.update(chord_direction=math.inf),
+    lambda doc: doc.update(maps=doc["maps"][:4]),
+    lambda doc: doc.update(maps=3),
+    _set_map(1, scale=-0.4),
+    _set_map(1, scale=0.0),
+    _set_map(1, scale=math.inf),
+    _set_map(2, tx=math.nan),
+    _set_map(2, reflect="false"),
+], ids=["no-alpha", "no-tx", "parity", "nan-alpha", "inf-direction", "four-maps",
+        "maps-number", "negative-scale", "zero-scale", "inf-scale", "nan-tx",
+        "reflect-string"])
+def test_from_json_rejects_malformed_input(change):
+    doc = json.loads(ifsmod.to_json(ifsmod.derive_ifs(2, PI2)))
+    change(doc)
+    with pytest.raises(DomainError):
+        ifsmod.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{", "null", '"ifs"'])
+def test_from_json_rejects_other_documents(text):
+    with pytest.raises(DomainError):
+        ifsmod.from_json(text)

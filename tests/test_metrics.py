@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fibfrac
+from fibfrac import analysis, metrics
 from fibfrac import ifs as ifsmod
-from fibfrac import metrics
 from fibfrac.errors import DomainError
 
 PI2 = math.pi / 2
@@ -104,7 +104,7 @@ def test_non_finite_points_rejected(bad):
     with pytest.raises(DomainError):
         metrics.directed_hausdorff(broken, ok)
     with pytest.raises(DomainError):
-        metrics.box_count(broken, 0.5)
+        metrics.box_counting_dimension(broken, eps_max=0.5, eps_min=0.01, levels=5)
 
 
 def test_import_does_not_load_scipy():
@@ -189,11 +189,9 @@ def test_hausdorff_metric_property(a, b, c):
 
 def test_box_count_hand_values():
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert metrics.box_count(corners, 0.6) == 4
-    assert metrics.box_count(corners, 1.1) == 1
-    assert metrics.box_count(corners, 0.4) == 4
-    with pytest.raises(DomainError):
-        metrics.box_count(corners, 0.0)
+    assert metrics._box_count_offset(corners, 0.6, 0.0) == 4
+    assert metrics._box_count_offset(corners, 1.1, 0.0) == 1
+    assert metrics._box_count_offset(corners, 0.4, 0.0) == 4
 
 
 def unique_box_count(rel, eps, frac):
@@ -220,24 +218,14 @@ def test_occupancy_count_equals_unique_count(n, sparse, frac, seed, extra):
     assert metrics._box_count_offset(rel, eps, frac) == want
 
 
-def test_default_ladder_on_repeated_points_matches_unique_reference():
-    # every point twice in a row: the kernel counts the distinct points, but
-    # the sampling floor must still divide by all of them
+def test_repeated_points_leave_the_dimension_unchanged():
+    # every point twice in a row: the grids count the same distinct points
     att = ifsmod.attractor(ifsmod.derive_ifs(2, PI2), depth=6)
-    pts = np.repeat(att, 2, axis=0)
-    rep = metrics.box_counting_dimension(pts)
-    rel = pts - pts.min(axis=0)
-    diam = math.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
-    scales, counts = [], []
-    for eps in diam / 8.0 / math.sqrt(2.0) ** np.arange(0, 40):
-        avg = np.mean([unique_box_count(rel, float(eps), f)[0]
-                       for f in (0.0, 0.25, 0.5, 0.75)])
-        if pts.shape[0] / avg < 4.0:
-            break
-        scales.append(float(eps))
-        counts.append(float(avg))
-    assert rep.scales_used == tuple(scales)
-    assert rep.counts == tuple(counts)
+    diam = math.hypot(*(att.max(axis=0) - att.min(axis=0)))
+    ladder = dict(eps_max=diam / 8.0, eps_min=diam / 256.0, levels=6)
+    want = metrics.box_counting_dimension(att, **ladder)
+    got = metrics.box_counting_dimension(np.repeat(att, 2, axis=0), **ladder)
+    assert (got.boxcount_s, got.fit_r2) == (want.boxcount_s, want.fit_r2)
 
 
 def test_dimension_of_segment():
@@ -257,16 +245,6 @@ def test_dimension_of_filled_square():
     assert rep.boxcount_s == pytest.approx(2.0, abs=0.1)
 
 
-def test_dimension_auto_ladder_on_attractor():
-    system = ifsmod.derive_ifs(2, PI2)
-    att = ifsmod.attractor(system, depth=6)
-    rep = metrics.box_counting_dimension(att, alpha=PI2)
-    assert len(rep.scales_used) >= 5
-    assert rep.analytic_s == pytest.approx(1.6379382096763471, abs=1e-12)
-    assert rep.boxcount_s == pytest.approx(rep.analytic_s, abs=0.1)
-    assert rep.fit_r2 > 0.99
-
-
 @pytest.mark.parametrize("i", range(2, 8))
 def test_box_count_slope_matches_dimension_every_i(i):
     # the Moran ratios (R, R, R^2, R, R) do not depend on i, so neither does
@@ -274,18 +252,21 @@ def test_box_count_slope_matches_dimension_every_i(i):
     att = ifsmod.attractor(ifsmod.derive_ifs(i, PI2), depth=8)
     diam = float(math.hypot(*(att.max(axis=0) - att.min(axis=0))))
     rep = metrics.box_counting_dimension(att, eps_max=diam / 8.0,
-                                         eps_min=diam / 512.0, levels=7, alpha=PI2)
-    assert rep.boxcount_s == pytest.approx(rep.analytic_s, abs=0.1)
+                                         eps_min=diam / 512.0, levels=7)
+    assert rep.boxcount_s == pytest.approx(analysis.hausdorff_dimension(PI2), abs=0.1)
     assert rep.fit_r2 >= 0.98
 
 
 def test_dimension_argument_validation():
     pts = np.zeros((10, 2))
-    with pytest.raises(DomainError):
-        metrics.box_counting_dimension(pts)  # no spread at all
+    with pytest.raises(DomainError):  # no spread at all
+        metrics.box_counting_dimension(pts, eps_max=0.5, eps_min=0.01, levels=5)
     seg = np.column_stack([np.linspace(0, 1, 50), np.zeros(50)])
-    with pytest.raises(DomainError):
-        metrics.box_counting_dimension(seg, eps_max=0.1, eps_min=0.2)
+    for eps_max, eps_min in [(0.1, 0.2), (0.5, 0.0), (math.inf, 0.01),
+                             (0.5, math.nan)]:
+        with pytest.raises(DomainError):
+            metrics.box_counting_dimension(seg, eps_max=eps_max, eps_min=eps_min,
+                                           levels=5)
     with pytest.raises(DomainError):
         metrics.box_counting_dimension(seg, eps_max=0.5, eps_min=0.01, levels=3)
 
@@ -294,27 +275,22 @@ def test_normalized_curve_frame():
     pts = metrics._normalized_curve(2, 11, PI2)
     assert pts[0] == pytest.approx([0.0, 0.0])
     assert math.hypot(*pts[-1]) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    mirrored = metrics._normalized_curve(2, 11, PI2, parity="odd-left")
+    assert np.allclose(mirrored * [-1.0, 1.0], pts, rtol=0.0, atol=1e-12)
 
 
 def test_convergence_distances_decrease():
-    rep = metrics.convergence_report(2, PI2, [1, 2])
-    assert rep.orders == (11, 17)
-    assert rep.distances[1] < rep.distances[0]
-    assert 0.0 < rep.rate < 1.0
+    dists = metrics.convergence_report(2, PI2, [1, 2])
+    assert len(dists) == 2
+    assert 0.0 < dists[1] < dists[0]
 
 
 def test_convergence_at_alpha_zero():
     # straight curves of different orders are distinct discrete sets, so the
     # distances are tiny but positive and still decay geometrically
-    rep = metrics.convergence_report(2, 0.0, [1, 2])
-    assert rep.distances[0] < 0.01
-    assert rep.distances[1] < rep.distances[0]
-    assert rep.rate < 0.1
-
-
-def test_convergence_single_k_has_no_rate():
-    rep = metrics.convergence_report(2, PI2, [1])
-    assert math.isnan(rep.rate)
+    dists = metrics.convergence_report(2, 0.0, [1, 2])
+    assert dists[0] < 0.01
+    assert dists[1] < 0.1 * dists[0]
 
 
 def test_continuity_probe_domain():

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibfrac import words
 from fibfrac.errors import DomainError
@@ -56,6 +58,26 @@ def test_substitution_matches_concat(i):
         a = words.word_concat(i, n)
         b = words.word_by_substitution(i, n)
         assert np.array_equal(a.bits(), b.bits()), (i, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 24))
+def test_substitution_equals_concatenation_property(i, n):
+    w = words.word_concat(i, n)
+    assert words.word_by_substitution(i, n) == w
+    assert "11" not in w.text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(7, 22))
+def test_five_partite_reassembles_property(i, n):
+    fp = words.five_partite(i, n)
+    bits = fp.word.bits()
+    starts = [a for a, _ in fp.parts]
+    ends = [b for _, b in fp.parts]
+    assert starts[0] == 0 and starts[1:] == ends[:-1] and ends[-1] == bits.size
+    assert np.array_equal(np.concatenate([bits[a:b] for a, b in fp.parts]), bits)
+    assert not words.contains_11(fp.word)
 
 
 @pytest.mark.parametrize("i", [2, 3, 4])
@@ -200,6 +222,24 @@ def test_from_binary_rejects_padding_bits():
     # unequal to w, hash differently and be written back out
     with pytest.raises(DomainError):
         words.from_binary(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [[0.5, 1.7], [0.0, 0.2], [-1, 0], [256, 0], [2, 0],
+                                 [0, 2**70], ["0", "1"], "012", "0\u00e9", b"01/"],
+                         ids=["fractions", "fraction", "negative", "256", "2",
+                              "2**70", "digit-strings", "text-2", "non-ascii",
+                              "bytes-slash"])
+def test_as_bits_rejects_other_symbols(bad):
+    # a cast to uint8 would truncate the floats, wrap -1 and 256, and raise
+    # OverflowError on 2**70
+    with pytest.raises(DomainError):
+        words.as_bits(bad)
+
+
+def test_as_bits_accepts_integral_symbols():
+    for ok in ([1.0, 0.0], [True, False], np.array([1, 0], dtype=np.int64)):
+        got = words.as_bits(ok)
+        assert got.dtype == np.uint8 and got.tolist() == [1, 0]
 
 
 def test_from_text_rejects_garbage():
