@@ -18,11 +18,6 @@ from . import turtle, words
 from .errors import DomainError
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= math.pi / 2:
-        raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
-
-
 def characteristic_roots(alpha: float) -> tuple:
     """Roots (r_plus, r_minus) of r^2 - 2(1 + cos a) r - 1 = 0.
 
@@ -30,7 +25,7 @@ def characteristic_roots(alpha: float) -> tuple:
     order; r_minus in (-1, 0) is the decaying root.  Vieta: the roots sum to
     2(1 + cos a) and multiply to -1.
     """
-    _check_alpha(alpha)
+    turtle._check_alpha(alpha)
     c = 1.0 + math.cos(alpha)
     d = math.sqrt(c * c + 1.0)
     return c + d, c - d
@@ -44,7 +39,7 @@ def scaling_ratio(alpha: float) -> float:
 
 def aspect_limit(alpha: float) -> float:
     """Limit of width/height, (r_plus - 1)/sin(a); infinite at a = 0."""
-    _check_alpha(alpha)
+    turtle._check_alpha(alpha)
     if alpha == 0.0:
         return math.inf
     r_plus, _ = characteristic_roots(alpha)
@@ -82,12 +77,11 @@ def wh_sequence(alpha: float, seeds: tuple, k_max: int) -> WHSequence:
     residual is smallest on n = 4 (mod 6) and decays there without
     vanishing (2.9e-6 at n = 22 and 8.5e-8 at n = 28 for i = 3, alpha = pi/2).
     """
-    _check_alpha(alpha)
+    turtle._check_alpha(alpha)
     w1, w2, h1 = (float(v) for v in seeds)
     if not (w1 > 0.0 and w2 > 0.0 and h1 > 0.0):
         raise DomainError("seeds must be positive, got %r" % (seeds,))
-    if k_max < 2:
-        raise DomainError("k_max must be at least 2 to cover both width seeds")
+    k_max = words._as_int(k_max, "k_max", 2)  # room for both width seeds
     coef = 2.0 * (1.0 + math.cos(alpha))
     s = math.sin(alpha)
     w = np.empty(k_max, dtype=np.float64)

@@ -103,10 +103,6 @@ def _deliver(data: bytes, out) -> None:
         atomic_write(out, data)
 
 
-def _fmt17(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def points_csv(pts: np.ndarray) -> bytes:
     """One "%.17g,%.17g" line per row of an (N, 2) array, as np.savetxt writes.
 
@@ -186,6 +182,7 @@ def _require(cond: bool, msg: str) -> None:
 def _check_out_dir(path) -> None:
     if path is None:
         return
+    _require(not os.path.isdir(path), "output path is a directory: %r" % (path,))
     d = os.path.dirname(os.path.abspath(path))
     _require(os.path.isdir(d), "output directory does not exist: %r" % (d,))
 
@@ -253,6 +250,8 @@ def _validate(args) -> None:
         args.what = tuple(tok.strip() for tok in what if tok.strip())
         for tok in args.what:
             _require(tok in ("dim", "ifs", "attractor"), "bad sweep output %r" % (tok,))
+        _require(os.path.isdir(args.out) or not os.path.exists(args.out),
+                 "sweep output path is not a directory: %r" % (args.out,))
         os.makedirs(args.out, exist_ok=True)
     else:
         _check_out_dir(args.out)
@@ -285,13 +284,13 @@ def cmd_stats(args) -> int:
         ("i", args.i), ("n", args.n), ("alpha", args.alpha),
         ("segments", p.points.shape[0] - 1), ("vertices", p.points.shape[0]),
         ("width", st.w), ("height", st.h), ("aspect", st.aspect),
-        ("net_angle", st.net_angle), ("turn_count", p.turn_count),
+        ("net_angle", p.final_heading), ("turn_count", p.turn_count),
     ]
     if args.format == "json":
         obj = {k: (v if isinstance(v, int) else float(v)) for k, v in rows}
         data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
     else:
-        lines = ["%s %s" % (k, v if isinstance(v, int) else _fmt17(v))
+        lines = ["%s %s" % (k, v if isinstance(v, int) else ifsmod._fmt(v))
                  for k, v in rows]
         data = ("\n".join(lines) + "\n").encode("ascii")
     _deliver(data, args.out)
@@ -309,7 +308,7 @@ def _dim_rows(alphas) -> list:
 
 def _dim_csv(rows) -> bytes:
     lines = ["alpha,R,r_plus,aspect_limit,dimension"]
-    lines += [",".join(_fmt17(v) for v in row) for row in rows]
+    lines += [",".join(ifsmod._fmt(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -369,14 +368,10 @@ _SMALL_WORDS = {
 }
 
 
-def _word_text(i: int, n: int) -> str:
-    return words.to_text(words.word_concat(i, n)).decode("ascii").rstrip("\n")
-
-
 def _checks_words(args, rng) -> list:
     out = []
     bad = [(i, n) for (i, n), s in sorted(_SMALL_WORDS.items())
-           if _word_text(i, n) != s]
+           if words.word_concat(i, n).text() != s]
     out.append(_check("words.small_words_exact", not bad, 0.0 if bad else 1.0,
                       "i in {2,3}, n in 1..5" + (": mismatches %r" % bad if bad else "")))
     ok = True
@@ -398,7 +393,7 @@ def _checks_words(args, rng) -> list:
             ok = ok and not words.contains_11(fp.word)
     out.append(_check("words.five_partite_reassembly", ok, float(ok),
                       "i in {2,3}, n in 7..13, includes the no-11 scan"))
-    ok = all(_word_text(i, n).endswith(words.last_two(n))
+    ok = all(words.word_concat(i, n).text().endswith(words.last_two(n))
              for i in (2, 3) for n in range(2, 13))
     out.append(_check("words.last_two_alternation", ok, float(ok),
                       "suffix 01 for even n, 10 for odd n"))
@@ -437,14 +432,13 @@ def _checks_curves(args, rng) -> list:
     out.append(_tol_check("curves.width_ratio_limit", err, 1e-3,
                           "w_%d / w_%d against r_plus" % (n_hi, n_hi - 3)))
 
+    n_box = turtle.similar_order(args.i, 2)
     if args.i % 2 == 0:
-        _, boxes = turtle.subcurves(args.i, 17, math.pi / 2, parity=args.parity)
+        _, boxes = turtle.subcurves(args.i, n_box, math.pi / 2, parity=args.parity)
         rep = turtle.boxes_disjoint(boxes)
         out.append(_check("curves.part_boxes_disjoint", rep.disjoint,
-                          float(rep.disjoint), "five-partite boxes at pi/2, n = 17"))
-        n_box = 17
-    else:
-        n_box = 15
+                          float(rep.disjoint),
+                          "five-partite boxes at pi/2, n = %d" % (n_box,)))
     ok = turtle.endpoints_on_box(args.i, n_box, parity=args.parity)
     out.append(_check("curves.endpoints_on_box", ok, float(ok),
                       "axis-aligned box at pi/2, n = %d" % (n_box,)))
@@ -478,7 +472,7 @@ def _checks_ifs(args, rng) -> list:
                           % (err, tol)))
 
     # the paper's claim: the normalized curves tend to the maps' attractor
-    n = 23 if args.i % 2 == 0 else 21
+    n = turtle.similar_order(args.i, 3)
     curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=7)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))

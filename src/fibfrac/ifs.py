@@ -3,9 +3,10 @@
 The maps are not hard-coded: they are recovered from the five-partite
 self-similarity of the drawn curves.  A junction recursion propagates the
 six five-partite junction points of f_m and l_m exactly to arbitrarily high
-order, the recursion is validated against an actually drawn reference curve,
-and the similarity parameters are then fitted at a converged order where the
-junction hexagons are similar to machine precision.
+order.  One loop validates it against an actually drawn reference curve,
+comparing each of the five parts' own junction points with the drawn
+vertices; the similarity parameters are then fitted at a converged order
+where the junction hexagons are similar to machine precision.
 """
 
 from __future__ import annotations
@@ -25,15 +26,6 @@ from .errors import (
 
 CHORD_LENGTH = math.sqrt(2.0)
 OSC_TOLERANCE = 1e-9  # how far images of V may reach out of V or overlap
-
-# (reference order, converged level) per parity of i: the drawn order that
-# validates the junction recursion and the order the maps are fitted at, both
-# 5 mod 6 for even i and 3 mod 6 for odd i
-_ORDERS = {0: (17, 149), 1: (15, 147)}
-
-# the five parts of f_m as (order offset, is an l-word):
-# f_m = f_{m-3} f_{m-3} f_{m-6} l_{m-3} l_{m-3}
-_PARTS = ((3, False), (3, False), (6, False), (3, True), (3, True))
 
 
 @dataclass(frozen=True)
@@ -131,13 +123,6 @@ def _rot(t: float) -> np.ndarray:
 _MIRROR = np.array([[-1.0, 0.0], [0.0, 1.0]])
 
 
-def _psi(sym: int, pos: int, sgn: int) -> int:
-    """Turn-count contribution of one symbol at 1-based position pos."""
-    if sym == 1:
-        return 0
-    return sgn if pos % 2 == 0 else -sgn
-
-
 class _Skeleton:
     """Exact chord and junction-hexagon recursion for drawings of f_m and l_m.
 
@@ -177,16 +162,14 @@ class _Skeleton:
 
     def cuts(self, m):
         """Symbol offsets of f_m's five part starts and its end, exact ints."""
-        len3 = self.L[m - 3]
-        len6 = self.L[m - 6]
-        return [0, len3, 2 * len3, 2 * len3 + len6, 3 * len3 + len6, 4 * len3 + len6]
+        return words._part_offsets(self.L.__getitem__, m)
 
     def _walk(self, m):
         """Part frames, the six junctions and the net turn of f_m's assembly."""
         turn = 0
         junctions = [np.zeros(2)]
         frames = []
-        for start, (back, is_l) in zip(self.cuts(m), _PARTS):
+        for start, (back, is_l) in zip(self.cuts(m), words._PARTS):
             sub = m - back
             flip = start % 2 == 1
             vsub = self.vl[sub] if is_l else self.v[sub]
@@ -203,28 +186,29 @@ class _Skeleton:
         self.K[m] = turn
         self.H[m] = np.array(junctions)
         # l_m differs from f_m only in its last two symbols, so rebuild the
-        # last two segments with the swapped symbols at the same positions
-        length = self.L[m]
-        a1, b1 = (0, 1) if m % 2 == 0 else (1, 0)
-        kpre = (
-            self.K[m]
-            - _psi(a1, length - 1, self.sgn)
-            - _psi(b1, length, self.sgn)
-        )
+        # last two segments with the swapped symbols at the same positions;
+        # a 0 turns by s at position |f_m| - 1 and by -s at |f_m|
+        s = self.sgn if (self.L[m] - 1) % 2 == 0 else -self.sgn
+        if words.last_two(m) == "01":
+            kpre = self.K[m] - s
+            last_f, last_l, self.Kl[m] = kpre + s, kpre, kpre - s
+        else:
+            kpre = self.K[m] + s
+            last_f, last_l, self.Kl[m] = kpre, kpre + s, kpre + s
 
         def seg(count):
             t = math.pi / 2 + count * a
             return np.array([math.cos(t), math.sin(t)])
 
-        base = self.v[m] - seg(kpre + _psi(a1, length - 1, self.sgn)) - seg(kpre)
-        self.vl[m] = base + seg(kpre) + seg(kpre + _psi(b1, length - 1, self.sgn))
-        self.Kl[m] = kpre + _psi(b1, length - 1, self.sgn) + _psi(a1, length, self.sgn)
+        # -seg(kpre) + seg(kpre) cancels only in exact arithmetic; the
+        # derived maps, and the digests recorded of them, keep its rounding
+        self.vl[m] = self.v[m] - seg(last_f) - seg(kpre) + seg(kpre) + seg(last_l)
 
     def part_hexagons(self, m):
         """Whole-curve hexagon and the five parts' own junction hexagons."""
         frames, junctions, _ = self._walk(m)
         parts = []
-        for k, (back, is_l) in enumerate(_PARTS):
+        for k, (back, is_l) in enumerate(words._PARTS):
             hsub = self.H[m - back]
             if is_l:
                 hsub = np.vstack([hsub[:-1], self.vl[m - back]])
@@ -259,21 +243,21 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
                draw_parity: str | None = None) -> IFS:
     """Recover the five maps from the self-similarity of the drawn curve.
 
-    The junction recursion is validated against the actually drawn curve at
-    the reference order, 17 for even i and 15 for odd i; any disagreement
-    beyond 1e-6 of the curve diameter raises SelfSimilarityError, which is
-    what a mis-set turn parity triggers.  Passing draw_parity different from
-    parity deliberately constructs that failure (negative control).
+    One loop validates the junction recursion against the actually drawn
+    curve at the reference order turtle.similar_order(i, 2): each part's own
+    junction hexagon must match the drawn vertices to 1e-6 of the curve
+    diameter, and part k starts at junction k, so the whole hexagon is
+    checked too.  A disagreement raises SelfSimilarityError, which is what a
+    mis-set turn parity triggers.  Passing draw_parity different from parity
+    deliberately constructs that failure (negative control); below alpha of
+    about 1e-5 the swap moves the curve by less than the tolerance.
 
     The similarity parameters are fitted on junction hexagons at the
-    converged order, 149 for even i and 147 for odd i, where the hexagons
-    are similar to machine precision.
+    converged order turtle.similar_order(i, 24), where the hexagons are
+    similar to machine precision.
     """
-    if i < 2:
-        raise DomainError("family index i must be >= 2, got %r" % (i,))
-    if not 0.0 <= alpha <= math.pi / 2:
-        raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
-    ref, level = _ORDERS[i % 2]
+    turtle._check_alpha(alpha)
+    ref, level = turtle.similar_order(i, 2), turtle.similar_order(i, 24)  # checks i
     draw_parity = parity if draw_parity is None else draw_parity
     sk = _Skeleton(i, alpha, parity, draw_parity, level)
 
@@ -281,13 +265,8 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     drawn = turtle.draw(words.word_concat(i, ref), alpha, parity=draw_parity).points
     tol = 1e-6 * math.hypot(*np.ptp(drawn, axis=0))
     cuts = sk.cuts(ref)
-    if np.max(np.abs(drawn[cuts] - sk.H[ref])) > tol:
-        raise SelfSimilarityError(
-            "junction recursion disagrees with the drawn curve at n=%d; "
-            "check the drawing-rule parity configuration" % ref
-        )
     _, ref_parts = sk.part_hexagons(ref)
-    for k, (back, _) in enumerate(_PARTS):
+    for k, (back, _) in enumerate(words._PARTS):
         gidx = [cuts[k] + c for c in sk.cuts(ref - back)]
         if np.max(np.abs(drawn[gidx] - ref_parts[k])) > tol:
             raise SelfSimilarityError(
@@ -299,9 +278,7 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     hexagon, parts = sk.part_hexagons(level)
     scale = CHORD_LENGTH / math.hypot(*sk.v[level])
     src = hexagon * scale
-    src_diam = math.hypot(
-        np.ptp(src[:, 0]), np.ptp(src[:, 1])
-    )
+    src_diam = math.hypot(*np.ptp(src, axis=0))
     maps = []
     for k, part in enumerate(parts):
         sim, rms = fit_similarity(src, part * scale, allow_collinear=True)
@@ -328,8 +305,7 @@ def attractor(ifs: IFS, depth: int) -> np.ndarray:
     images concatenated in map order, so depth d gives exactly 2 * 5^d points
     in canonical depth-first order with duplicates kept.
     """
-    if depth < 0:
-        raise DomainError("depth must be >= 0, got %r" % (depth,))
+    depth = words._as_int(depth, "depth", 0)
     pts = ifs.frame.seeds()
     for _ in range(depth):
         n = pts.shape[0]

@@ -38,13 +38,6 @@ _PARALLEL_QUERIES = 20_000
 _OCCUPANCY_CELLS_PER_POINT = 8
 
 
-def _as_pointset(pts, name: str) -> np.ndarray:
-    arr = turtle._as_points(pts, name)
-    if arr.shape[0] == 0:
-        raise DomainError("%s must be non-empty" % name)
-    return arr
-
-
 def _drop_repeats(pts: np.ndarray) -> np.ndarray:
     """pts without each row equal to the row before it; pts itself if none is."""
     same = (pts[1:, 0] == pts[:-1, 0]) & (pts[1:, 1] == pts[:-1, 1])
@@ -54,7 +47,10 @@ def _drop_repeats(pts: np.ndarray) -> np.ndarray:
 
 
 def _distinct_pointset(pts, name: str) -> np.ndarray:
-    return _drop_repeats(_as_pointset(pts, name))
+    arr = turtle._as_points(pts, name)
+    if arr.shape[0] == 0:
+        raise DomainError("%s must be non-empty" % name)
+    return _drop_repeats(arr)
 
 
 def _brute_directed(queries: np.ndarray, ref: np.ndarray) -> float:
@@ -129,8 +125,7 @@ def box_counting_dimension(pts, eps_max: float, eps_min: float,
     pts = _distinct_pointset(pts, "A")
     if not 0.0 < eps_min < eps_max < math.inf:
         raise DomainError("need a finite eps_max > eps_min > 0")
-    if levels < 5:
-        raise DomainError("need at least 5 levels, got %d" % levels)
+    levels = words._as_int(levels, "levels", 5)
     lo = pts.min(axis=0)
     if (pts.max(axis=0) == lo).all():
         raise DomainError("all points coincide; no scaling range")
@@ -157,19 +152,18 @@ def _normalized_curve(i: int, n: int, alpha: float,
     pts = turtle.draw(words.word_concat(i, n), alpha, parity=parity).points
     chord = math.hypot(pts[-1, 0], pts[-1, 1])
     if chord > 0.0:
-        pts = pts * (math.sqrt(2.0) / chord)
+        pts = pts * (ifs_mod.CHORD_LENGTH / chord)
     return pts
 
 
 def convergence_report(i: int, alpha: float, k_list) -> tuple:
     """d_H between the normalized curves of order n(k) and n(k) + 6, per k.
 
-    n(k) = 6k + 5 for even i and 6k + 3 for odd i.
+    n(k) = turtle.similar_order(i, k): 6k + 5 for even i and 6k + 3 for odd i.
     """
-    base = 5 if i % 2 == 0 else 3
     return tuple(
-        hausdorff_distance(_normalized_curve(i, 6 * k + base, alpha),
-                           _normalized_curve(i, 6 * k + base + 6, alpha))
+        hausdorff_distance(_normalized_curve(i, turtle.similar_order(i, k), alpha),
+                           _normalized_curve(i, turtle.similar_order(i, k + 1), alpha))
         for k in k_list
     )
 

@@ -46,10 +46,14 @@ class Polyline:
         return int(self.points.shape[0])
 
 
-def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyline:
-    """Render a word as a polyline; vertex count is word length + 1."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= math.pi / 2:
         raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
+
+
+def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyline:
+    """Render a word as a polyline; vertex count is word length + 1."""
+    _check_alpha(alpha)
     if not 0.0 < unit < math.inf:
         raise DomainError("unit must be positive and finite, got %r" % (unit,))
     bits = words.as_bits(w)
@@ -80,12 +84,11 @@ def turn_count(w, parity: str = "even-left") -> int:
 
 @dataclass(frozen=True)
 class CurveStats:
-    """Chord width, perpendicular height, aspect ratio, and net heading."""
+    """Chord width, perpendicular height and aspect ratio."""
 
     w: float
     h: float
     aspect: float
-    net_angle: float
 
 
 def _as_points(p, name: str = "points") -> np.ndarray:
@@ -122,8 +125,7 @@ def curve_stats(p) -> CurveStats:
         aspect = math.inf
     else:
         aspect = w / h
-    final = p.final_heading if isinstance(p, Polyline) else math.nan
-    return CurveStats(w=w, h=h, aspect=aspect, net_angle=final)
+    return CurveStats(w=w, h=h, aspect=aspect)
 
 
 @dataclass(frozen=True)
@@ -244,9 +246,15 @@ def boxes_disjoint(boxes) -> BoxReport:
     return BoxReport(True, None)
 
 
+def similar_order(i: int, k: int) -> int:
+    """6k + 5 for even i, 6k + 3 for odd i: the orders whose split is a similarity."""
+    words._check_index(i, 1)  # order 1 exists for every i, so this checks i
+    return 6 * words._as_int(k, "k", 0) + (5 if i % 2 == 0 else 3)
+
+
 def check_box_residue(i: int, n: int) -> None:
     """Axis-aligned box claims hold for n = 5 mod 6 (even i), n = 3 mod 6 (odd i)."""
-    want = 5 if i % 2 == 0 else 3
+    want = similar_order(i, 0)
     if n % 6 != want:
         raise DomainError(
             "for i=%d the box property needs n = %d (mod 6), got n=%d" % (i, want, n)

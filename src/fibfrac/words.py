@@ -7,6 +7,7 @@ tens of millions of symbols stay affordable.
 
 from __future__ import annotations
 
+import operator
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -17,12 +18,35 @@ from .errors import DomainError, StructureError
 
 _INT64_MAX = 2**63 - 1
 
+# f_n = f_{n-3} f_{n-3} f_{n-6} l_{n-3} l_{n-3}: each part's order offset and
+# whether it is an l-word
+_PARTS = ((3, False), (3, False), (6, False), (3, True), (3, True))
+
+
+def _as_int(value, name: str, least: int) -> int:
+    """value as an int; DomainError unless it is an integer >= least (bool is not)."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise DomainError("%s must be an integer, got %r" % (name, value))
+    if number < least:
+        raise DomainError("%s must be >= %d, got %r" % (name, least, number))
+    return number
+
 
 def _check_index(i: int, n: int) -> None:
-    if i < 2:
-        raise DomainError("family index i must be >= 2, got %r" % (i,))
-    if n < 1:
-        raise DomainError("order n must be >= 1, got %r" % (n,))
+    _as_int(i, "family index i", 2)
+    _as_int(n, "order n", 1)
+
+
+def _part_offsets(length, n: int) -> list:
+    """Symbol offsets of f_n's five part starts and its end; length(m) = |f_m|."""
+    offsets = [0]
+    for back, _ in _PARTS:
+        offsets.append(offsets[-1] + length(n - back))
+    return offsets
 
 
 def fib_length(i: int, n: int) -> int:
@@ -95,7 +119,10 @@ def as_bits(w) -> np.ndarray:
     if isinstance(w, (bytes, bytearray)):
         arr = np.frombuffer(bytes(w), dtype=np.uint8) - np.uint8(ord("0"))
     else:
-        arr = np.asarray(w)
+        try:
+            arr = np.asarray(w)
+        except ValueError:  # numpy refuses a ragged nested sequence
+            raise DomainError("symbol sequence must be one-dimensional") from None
     if arr.ndim != 1:
         raise DomainError("symbol sequence must be one-dimensional")
     # checked before the cast, which would truncate 1.7 to 1 and wrap -1 to 255
@@ -157,8 +184,7 @@ def two_adic_distance(w, v) -> float:
 
 def l_word_bits(i: int, n: int) -> np.ndarray:
     """Symbols of l_n^[i]: f_n with its last two symbols swapped."""
-    if n < 2:
-        raise DomainError("l-words need n >= 2, got n=%d" % n)
+    _as_int(n, "order n of an l-word", 2)
     bits = word_concat(i, n).bits()
     bits[-2], bits[-1] = bits[-1], bits[-2]
     return bits
@@ -170,8 +196,7 @@ def last_two(n: int) -> str:
     This follows from f_n ending in f_{n-2} (in the suffix sense) for every
     family index i, so the tag depends only on the parity of n.
     """
-    if n < 2:
-        raise DomainError("words of length >= 2 need n >= 2, got n=%d" % n)
+    _as_int(n, "order n of a word of length >= 2", 2)
     return "01" if n % 2 == 0 else "10"
 
 
@@ -193,19 +218,13 @@ def five_partite(i: int, n: int) -> FivePartite:
     if n < 7:
         raise DomainError("five-partite structure needs n >= 7, got n=%d" % n)
     w = word_concat(i, n)
-    len3 = fib_length(i, n - 3)
-    len6 = fib_length(i, n - 6)
-    cuts = (0, len3, 2 * len3, 2 * len3 + len6, 3 * len3 + len6, 4 * len3 + len6)
+    cuts = _part_offsets(lambda m: fib_length(i, m), n)
     if cuts[-1] != len(w):
         raise StructureError("part lengths do not add up for (i=%d, n=%d)" % (i, n))
     bits = w.bits()
-    f3 = word_concat(i, n - 3).bits()
-    f6 = word_concat(i, n - 6).bits()
-    l3 = f3.copy()
-    l3[-2], l3[-1] = l3[-1], l3[-2]
-    expected = (f3, f3, f6, l3, l3)
     parts = tuple((cuts[k], cuts[k + 1]) for k in range(5))
-    for (start, end), ref in zip(parts, expected):
+    for (start, end), (back, is_l) in zip(parts, _PARTS):
+        ref = l_word_bits(i, n - back) if is_l else word_concat(i, n - back).bits()
         if not np.array_equal(bits[start:end], ref):
             raise StructureError(
                 "part [%d:%d] of f_%d^[%d] does not match its expected word"

@@ -357,6 +357,24 @@ def test_missing_output_directory_is_usage_error(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["word", "--i", "2", "--n", "5", "--out", "{dir}"],
+    ["curve", "--n", "5", "--csv", "{dir}"],
+    ["dim", "--plot", "{dir}"],
+    ["verify", "--level", "words", "--out", "{dir}"],
+    ["sweep", "--alphas", "pi/2", "--out", "{file}"],
+], ids=["word-out", "curve-csv", "dim-plot", "verify-out", "sweep-out-file"])
+def test_output_path_of_the_wrong_kind_is_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("keep")
+    argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
+    assert run(argv) == 2
+    assert "fibfrac: error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
+    assert list((tmp_path / "d").iterdir()) == []
+    assert (tmp_path / "f").read_text() == "keep"
+
+
 def test_no_temp_files_left_behind(tmp_path):
     out = tmp_path / "w.txt"
     assert run(["word", "--i", "2", "--n", "8", "--out", str(out)]) == 0

@@ -166,8 +166,16 @@ def test_derived_ifs_digest():
 
 
 def test_parity_mismatch_detected():
-    with pytest.raises(SelfSimilarityError):
-        ifsmod.derive_ifs(2, PI2, draw_parity="odd-left")
+    # the negative control: drawing with the other turn parity moves the
+    # curve by more than the 1e-6 * diameter tolerance from alpha ~ 1e-5 up
+    swap = {"even-left": "odd-left", "odd-left": "even-left"}
+    for i in range(2, 8):
+        for parity, other in swap.items():
+            for alpha in (1e-5, 1e-3, math.pi / 6, math.pi / 3, PI2):
+                with pytest.raises(SelfSimilarityError):
+                    ifsmod.derive_ifs(i, alpha, parity=parity, draw_parity=other)
+            # at alpha = 0 both parities draw the same straight line
+            ifsmod.derive_ifs(i, 0.0, parity=parity, draw_parity=other)
 
 
 def test_derive_argument_validation():

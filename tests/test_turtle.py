@@ -208,7 +208,7 @@ def test_subcurves_turn_metadata(i, n, alpha):
     assert sum(p.turn_count for p in polys) == whole.turn_count
     assert polys[-1].final_heading == whole.final_heading
     for p in polys:
-        assert math.isfinite(turtle.curve_stats(p).net_angle)
+        assert math.isfinite(p.final_heading)
 
 
 def test_subcurves_need_order_seven():
@@ -258,6 +258,14 @@ def test_box_residue_check():
         turtle.check_box_residue(2, 16)
     with pytest.raises(DomainError):
         turtle.check_box_residue(3, 17)
+
+
+def test_similar_orders():
+    got = [turtle.similar_order(i, k) for i in (2, 3) for k in (0, 2, 24)]
+    assert got == [5, 17, 149, 3, 15, 147]
+    for bad in [(1, 0), (2, -1), (2, 0.5), (True, 0)]:
+        with pytest.raises(DomainError):
+            turtle.similar_order(*bad)
 
 
 @pytest.mark.parametrize("i,n", [(2, 11), (2, 17), (3, 9), (3, 15)])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import words
+from fibfrac import analysis, ifs, metrics, turtle, words
 from fibfrac.errors import DomainError
 
 # first five words of the i = 2 and i = 3 families, written out by hand
@@ -225,10 +225,11 @@ def test_from_binary_rejects_padding_bits():
 
 
 @pytest.mark.parametrize("bad", [[0.5, 1.7], [0.0, 0.2], [-1, 0], [256, 0], [2, 0],
-                                 [0, 2**70], ["0", "1"], "012", "0\u00e9", b"01/"],
+                                 [0, 2**70], ["0", "1"], "012", "0\u00e9", b"01/",
+                                 [[0], [0, 1]]],
                          ids=["fractions", "fraction", "negative", "256", "2",
                               "2**70", "digit-strings", "text-2", "non-ascii",
-                              "bytes-slash"])
+                              "bytes-slash", "ragged"])
 def test_as_bits_rejects_other_symbols(bad):
     # a cast to uint8 would truncate the floats, wrap -1 and 256, and raise
     # OverflowError on 2**70
@@ -253,3 +254,21 @@ def test_index_validation():
             words.word_concat(*bad)
     with pytest.raises(DomainError):
         words.word_by_substitution(1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: words.fib_length(2.5, 5),
+    lambda: words.fib_length(2, True),
+    lambda: words.word_concat(2, 2.5),
+    lambda: words.five_partite(2, 7.5),
+    lambda: words.l_word_bits(2, 2.5),
+    lambda: ifs.attractor(ifs.derive_ifs(2, 1.0), 2.5),
+    lambda: metrics.box_counting_dimension(np.eye(2), 1.0, 0.1, levels=5.5),
+    lambda: analysis.wh_sequence(1.0, (1.0, 3.0, 1.0), k_max=2.5),
+    lambda: turtle.draw([[0], [0, 1]], 1.0),
+], ids=["fib_length-i", "fib_length-n-bool", "word_concat", "five_partite",
+        "l_word_bits", "attractor-depth", "box-count-levels", "wh_sequence-k_max",
+        "draw-ragged"])
+def test_non_integer_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
