@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,25 +109,3 @@ def curve_seeds(i: int, alpha: float, parity: str = "even-left") -> tuple:
               for n in (10, 13))
     return (s1.w, s2.w, s1.h)
 
-
-@dataclass(frozen=True)
-class ScalingProfile:
-    """All alpha-derived scalars in one record."""
-
-    alpha: float
-    R: float
-    r_plus: float
-    r_minus: float
-    aspect_limit: float
-
-
-def scaling_profile(alpha: float) -> ScalingProfile:
-    """Bundle R, the characteristic roots, and the aspect limit for one alpha."""
-    r_plus, r_minus = characteristic_roots(alpha)
-    return ScalingProfile(
-        alpha=alpha,
-        R=1.0 / r_plus,
-        r_plus=r_plus,
-        r_minus=r_minus,
-        aspect_limit=aspect_limit(alpha),
-    )

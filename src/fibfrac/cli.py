@@ -13,8 +13,9 @@ Subcommands:
 Angles parse as decimal radians or as "pi/k"-style fraction literals
 ("pi/2", "2pi/12", "0.7853981633974483").  File output is atomic (temp
 file in the destination directory, then rename), so a failing run never
-leaves a partial file.  Identical configurations produce byte-identical
-output, including SVG.
+leaves a partial file; a symlink is written through, and a FIFO or device
+directly.  Identical configurations produce byte-identical output,
+including SVG.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage error.
 """
@@ -25,8 +26,9 @@ import json
 import math
 import os
 import re
+import secrets
+import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -80,11 +82,31 @@ def parse_angle_list(text: str) -> tuple:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write data to path via a same-directory temp file and atomic rename."""
-    dest = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(dest), prefix=".fibfrac-tmp-")
+    """Write data to path as open(path, "wb") would, but never half-written.
+
+    A regular file, new or existing, is written to a temp file in its own
+    directory and renamed over it.  A symlink is followed: its target is
+    written and the link kept.  A path that exists and is neither a regular
+    file nor a directory, such as a FIFO or a device, is written directly.
+    An existing file keeps its mode; a new one gets 0o666 less the umask.
+    """
+    dest = os.path.realpath(path)
+    try:
+        mode = os.stat(dest).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(dest, "wb") as fh:
+            fh.write(data)
+        return
+    tmp = os.path.join(os.path.dirname(dest),
+                       ".fibfrac-tmp-" + secrets.token_hex(8))
+    # os.open applies the umask to 0o666, as open(path, "wb") does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(data)
         os.replace(tmp, dest)
     except BaseException:
@@ -101,6 +123,14 @@ def _deliver(data: bytes, out) -> None:
         sys.stdout.buffer.flush()
     else:
         atomic_write(out, data)
+
+
+def _json_bytes(obj) -> bytes:
+    """Indented JSON and one newline, with each non-finite number as null."""
+    # JSON has no Infinity or NaN.  Floats print at shortest round-trip
+    # precision, so the parse gives back every finite one unchanged.
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
 
 
 def points_csv(pts: np.ndarray) -> bytes:
@@ -183,7 +213,7 @@ def _check_out_dir(path) -> None:
     if path is None:
         return
     _require(not os.path.isdir(path), "output path is a directory: %r" % (path,))
-    d = os.path.dirname(os.path.abspath(path))
+    d = os.path.dirname(os.path.realpath(path))  # where atomic_write writes
     _require(os.path.isdir(d), "output directory does not exist: %r" % (d,))
 
 
@@ -209,8 +239,6 @@ def _validate(args) -> None:
 
     if "i" in given:
         _require(args.i >= 2, "need i >= 2, got %d" % (args.i,))
-    if "n" in given:
-        _require(args.n >= 1, "need n >= 1, got %d" % (args.n,))
     if "alpha" in given:
         args.alpha = _check_alpha(args.alpha, "alpha must lie in [0, pi/2], got %s")
 
@@ -236,7 +264,7 @@ def _validate(args) -> None:
                  "stroke width must be positive and finite")
 
     if sub in ("dim", "sweep"):
-        if args.alphas:
+        if args.alphas is not None:
             alphas = parse_angle_list(args.alphas)
         else:
             _require(args.grid >= 2,
@@ -287,8 +315,7 @@ def cmd_stats(args) -> int:
         ("net_angle", p.final_heading), ("turn_count", p.turn_count),
     ]
     if args.format == "json":
-        obj = {k: (v if isinstance(v, int) else float(v)) for k, v in rows}
-        data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
+        data = _json_bytes(dict(rows))
     else:
         lines = ["%s %s" % (k, v if isinstance(v, int) else ifsmod._fmt(v))
                  for k, v in rows]
@@ -298,16 +325,16 @@ def cmd_stats(args) -> int:
 
 
 def _dim_rows(alphas) -> list:
-    rows = []
-    for a in alphas:
-        prof = analysis.scaling_profile(a)
-        rows.append((a, prof.R, prof.r_plus, prof.aspect_limit,
-                     analysis.hausdorff_dimension(a)))
-    return rows
+    return [(a, analysis.scaling_ratio(a), analysis.characteristic_roots(a)[0],
+             analysis.aspect_limit(a), analysis.hausdorff_dimension(a))
+            for a in alphas]
+
+
+_DIM_COLUMNS = ("alpha", "R", "r_plus", "aspect_limit", "dimension")
 
 
 def _dim_csv(rows) -> bytes:
-    lines = ["alpha,R,r_plus,aspect_limit,dimension"]
+    lines = [",".join(_DIM_COLUMNS)]
     lines += [",".join(ifsmod._fmt(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -315,13 +342,7 @@ def _dim_csv(rows) -> bytes:
 def cmd_dim(args) -> int:
     rows = _dim_rows(args.alphas)
     if args.format == "json":
-        fin = lambda v: float(v) if math.isfinite(v) else None
-        obj = [
-            {"alpha": fin(a), "R": fin(R), "r_plus": fin(rp),
-             "aspect_limit": fin(al), "dimension": fin(s)}
-            for a, R, rp, al, s in rows
-        ]
-        data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
+        data = _json_bytes([dict(zip(_DIM_COLUMNS, row)) for row in rows])
     else:
         data = _dim_csv(rows)
     _deliver(data, args.out)
@@ -348,15 +369,18 @@ def cmd_attractor(args) -> int:
 # verify
 
 
-def _check(name: str, passed: bool, margin: float, detail: str = "") -> dict:
-    return {"name": name, "passed": bool(passed), "margin": float(margin),
+def _check(name: str, passed: bool, detail: str = "") -> dict:
+    # a yes/no check's margin is 1 or 0
+    return {"name": name, "passed": bool(passed), "margin": float(bool(passed)),
             "detail": detail}
 
 
 def _tol_check(name: str, err: float, tol: float, detail: str = "") -> dict:
+    rec = _check(name, err <= tol,
+                 detail or "error %.3g against tolerance %.3g" % (err, tol))
     # normalized margin: 1 is a perfect pass, 0 is right at tolerance
-    return _check(name, err <= tol, 1.0 - err / tol,
-                  detail or "error %.3g against tolerance %.3g" % (err, tol))
+    rec["margin"] = float(1.0 - err / tol)
+    return rec
 
 
 # first five words for i = 2 and i = 3, written out from the recurrence
@@ -368,11 +392,11 @@ _SMALL_WORDS = {
 }
 
 
-def _checks_words(args, rng) -> list:
+def _checks_words(args) -> list:
     out = []
     bad = [(i, n) for (i, n), s in sorted(_SMALL_WORDS.items())
            if words.word_concat(i, n).text() != s]
-    out.append(_check("words.small_words_exact", not bad, 0.0 if bad else 1.0,
+    out.append(_check("words.small_words_exact", not bad,
                       "i in {2,3}, n in 1..5" + (": mismatches %r" % bad if bad else "")))
     ok = True
     for i in (2, 3, 4):
@@ -380,32 +404,26 @@ def _checks_words(args, rng) -> list:
             a = words.word_concat(i, n)
             b = words.word_by_substitution(i, n)
             ok = ok and np.array_equal(a.bits(), b.bits())
-    out.append(_check("words.substitution_matches_concat", ok, float(ok),
+    out.append(_check("words.substitution_matches_concat", ok,
                       "i in {2,3,4}, n <= 18"))
-    ok = True
-    for i in (2, 3):
-        for n in range(7, 14):
-            fp = words.five_partite(i, n)
-            bits = fp.word.bits()
-            ok = ok and fp.parts[0][0] == 0 and fp.parts[-1][1] == bits.size
-            joined = np.concatenate([bits[a:b] for a, b in fp.parts])
-            ok = ok and np.array_equal(joined, bits)
-            ok = ok and not words.contains_11(fp.word)
-    out.append(_check("words.five_partite_reassembly", ok, float(ok),
+    # five_partite raises unless every part equals its own freshly built word
+    ok = not any(words.contains_11(words.five_partite(i, n).word)
+                 for i in (2, 3) for n in range(7, 14))
+    out.append(_check("words.five_partite_reassembly", ok,
                       "i in {2,3}, n in 7..13, includes the no-11 scan"))
     ok = all(words.word_concat(i, n).text().endswith(words.last_two(n))
              for i in (2, 3) for n in range(2, 13))
-    out.append(_check("words.last_two_alternation", ok, float(ok),
+    out.append(_check("words.last_two_alternation", ok,
                       "suffix 01 for even n, 10 for odd n"))
     return out
 
 
-def _checks_curves(args, rng) -> list:
+def _checks_curves(args) -> list:
     out = []
     w12 = words.word_concat(args.i, 12)
     p = turtle.draw(w12, args.alpha, parity=args.parity)
     ok = p.points.shape[0] == words.fib_length(args.i, 12) + 1
-    out.append(_check("curves.vertex_count", ok, float(ok),
+    out.append(_check("curves.vertex_count", ok,
                       "n = 12 drawn at the requested alpha"))
 
     st = turtle.curve_stats(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
@@ -413,10 +431,10 @@ def _checks_curves(args, rng) -> list:
               abs(st.aspect - 2.0))
     out.append(_tol_check("curves.stats_reference_triangle", err, 1e-12))
 
+    # draw sets final_heading to pi/2 + alpha * turn_count, so only the
+    # count can disagree with the one taken straight from the word
     ok = p.turn_count == turtle.turn_count(w12, parity=args.parity)
-    ok = ok and abs(p.final_heading
-                    - (math.pi / 2 + args.alpha * p.turn_count)) == 0.0
-    out.append(_check("curves.heading_bookkeeping", ok, float(ok),
+    out.append(_check("curves.heading_bookkeeping", ok,
                       "final heading is pi/2 + k*alpha with integer k"))
 
     # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
@@ -427,7 +445,7 @@ def _checks_curves(args, rng) -> list:
         st_n = turtle.curve_stats(
             turtle.draw(words.word_concat(args.i, n), args.alpha, parity=args.parity))
         ws[n] = st_n.w
-    r_plus = analysis.scaling_profile(args.alpha).r_plus
+    r_plus, _ = analysis.characteristic_roots(args.alpha)
     err = abs(ws[n_hi] / ws[n_hi - 3] - r_plus)
     out.append(_tol_check("curves.width_ratio_limit", err, 1e-3,
                           "w_%d / w_%d against r_plus" % (n_hi, n_hi - 3)))
@@ -437,15 +455,14 @@ def _checks_curves(args, rng) -> list:
         _, boxes = turtle.subcurves(args.i, n_box, math.pi / 2, parity=args.parity)
         rep = turtle.boxes_disjoint(boxes)
         out.append(_check("curves.part_boxes_disjoint", rep.disjoint,
-                          float(rep.disjoint),
                           "five-partite boxes at pi/2, n = %d" % (n_box,)))
     ok = turtle.endpoints_on_box(args.i, n_box, parity=args.parity)
-    out.append(_check("curves.endpoints_on_box", ok, float(ok),
+    out.append(_check("curves.endpoints_on_box", ok,
                       "axis-aligned box at pi/2, n = %d" % (n_box,)))
     return out
 
 
-def _checks_ifs(args, rng) -> list:
+def _checks_ifs(args) -> list:
     out = []
     draw_parity = args.parity
     if args.negative_control:
@@ -454,13 +471,13 @@ def _checks_ifs(args, rng) -> list:
         F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity,
                               draw_parity=draw_parity)
     except SelfSimilarityError as exc:
-        out.append(_check("ifs.similarity_fit", False, 0.0, str(exc)))
+        out.append(_check("ifs.similarity_fit", False, str(exc)))
         return out
-    out.append(_check("ifs.similarity_fit", True, 1.0,
+    out.append(_check("ifs.similarity_fit", True,
                       "five-map fit at the converged level"))
 
-    prof = analysis.scaling_profile(args.alpha)
-    want = (prof.R, prof.R, prof.R ** 2, prof.R, prof.R)
+    R = analysis.scaling_ratio(args.alpha)
+    want = (R, R, R ** 2, R, R)
     err = max(abs(m.scale - s) for m, s in zip(F.maps, want))
     out.append(_tol_check("ifs.scale_spectrum", err, 1e-6,
                           "scales against (R, R, R^2, R, R)"))
@@ -480,41 +497,37 @@ def _checks_ifs(args, rng) -> list:
     out.append(_tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
                           "normalized f_%d against the depth-7 attractor" % (n,)))
 
-    G = ifsmod.from_json(ifsmod.to_json(F))
-    ok = (G.alpha == F.alpha and G.parity == F.parity
-          and G.frame.chord_direction == F.frame.chord_direction)
-    for a, b in zip(F.maps, G.maps):
-        ok = ok and (a.scale, a.rotation, a.reflect) == (b.scale, b.rotation, b.reflect)
-        ok = ok and a.translation == b.translation
-    out.append(_check("ifs.json_round_trip", ok, float(ok),
+    # dataclass equality compares every map field, alpha, parity and frame
+    ok = ifsmod.from_json(ifsmod.to_json(F)) == F
+    out.append(_check("ifs.json_round_trip", ok,
                       "17 significant digits survive the round trip"))
     return out
 
 
-def _checks_dim(args, rng: np.random.Generator) -> list:
+def _checks_dim(args) -> list:
     out = []
     grid = np.linspace(0.0, math.pi / 2, 200)
+    svals = [analysis.hausdorff_dimension(a) for a in grid]
     worst = 0.0
-    for a in grid:
+    for a, s in zip(grid, svals):
         R = analysis.scaling_ratio(a)
-        s = analysis.hausdorff_dimension(a)
         worst = max(worst, abs(4.0 * R ** s + R ** (2.0 * s) - 1.0))
     out.append(_tol_check("dim.moran_residual", worst, 1e-12,
                           "4R^s + R^2s = 1 on a 200-point grid"))
 
     ok = analysis.hausdorff_dimension(0.0) == 1.0
-    out.append(_check("dim.endpoint_zero", ok, float(ok), "s(0) = 1 exactly"))
+    out.append(_check("dim.endpoint_zero", ok, "s(0) = 1 exactly"))
     err = abs(analysis.hausdorff_dimension(math.pi / 2) - 1.6379)
     out.append(_tol_check("dim.endpoint_right", err, 1e-4, "s(pi/2) = 1.6379"))
 
-    svals = [analysis.hausdorff_dimension(a) for a in grid]
     ok = all(b >= a for a, b in zip(svals, svals[1:]))
-    out.append(_check("dim.monotone", ok, float(ok), "s nondecreasing on the grid"))
+    out.append(_check("dim.monotone", ok, "s nondecreasing on the grid"))
 
     err = abs(analysis.aspect_limit(math.pi / 2) - math.sqrt(2.0))
     out.append(_tol_check("dim.aspect_limit_right", err, 1e-12,
                           "w/h limit sqrt(2) at pi/2"))
 
+    rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(20):
         # 50-400 points span several k-d tree leaves, so an approximate
@@ -530,12 +543,12 @@ def _checks_dim(args, rng: np.random.Generator) -> list:
     return out
 
 
-def _checks_full(args, rng) -> list:
+def _checks_full(args) -> list:
     out = []
     try:
         F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     except SelfSimilarityError as exc:
-        out.append(_check("full.box_count_dimension", False, 0.0, str(exc)))
+        out.append(_check("full.box_count_dimension", False, str(exc)))
         return out
     pts = ifsmod.attractor(F, depth=8)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
@@ -551,7 +564,7 @@ def _checks_full(args, rng) -> list:
 
     dists = metrics.convergence_report(args.i, args.alpha, (1, 2, 3))
     ok = all(b < a for a, b in zip(dists, dists[1:]))
-    out.append(_check("full.curve_convergence", ok, float(ok),
+    out.append(_check("full.curve_convergence", ok,
                       "successive normalized curves draw closer"))
     return out
 
@@ -562,13 +575,12 @@ _LEVELS = {"words": _checks_words, "curves": _checks_curves, "ifs": _checks_ifs,
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(20240817)
     last = list(_LEVELS).index(args.level)
     checks = []
     for k, (name, group) in enumerate(_LEVELS.items()):
         # the negative control is an ifs check, so it runs at every level
         if k <= last or (name == "ifs" and args.negative_control):
-            checks += group(args, rng)
+            checks += group(args)
 
     passed = all(c["passed"] for c in checks)
     for c in checks:
@@ -580,7 +592,7 @@ def cmd_verify(args) -> int:
         "negative_control": args.negative_control, "passed": passed,
         "checks": checks,
     }
-    _deliver((json.dumps(report, indent=2) + "\n").encode("ascii"), args.out)
+    _deliver(_json_bytes(report), args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -170,8 +170,6 @@ def convergence_report(i: int, alpha: float, k_list) -> tuple:
 
 def continuity_probe(i: int, alpha: float, delta: float, depth: int) -> float:
     """d_H between the attractors derived at alpha and alpha + delta."""
-    if not 0.0 <= alpha <= math.pi / 2 or not 0.0 <= alpha + delta <= math.pi / 2:
-        raise DomainError("alpha and alpha + delta must lie in [0, pi/2]")
     a_ifs = ifs_mod.derive_ifs(i, alpha)
     b_ifs = ifs_mod.derive_ifs(i, alpha + delta)
     a_pts = ifs_mod.attractor(a_ifs, depth=depth)

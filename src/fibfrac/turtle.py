@@ -10,6 +10,7 @@ of alpha so direction never drifts over millions of segments.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -57,6 +58,12 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
     if not 0.0 < unit < math.inf:
         raise DomainError("unit must be positive and finite, got %r" % (unit,))
     bits = words.as_bits(w)
+    # no coordinate, and no distance between two vertices, exceeds
+    # unit * len(w); the extents that curve_stats and polyline_svg add up
+    # stay finite while it is under a quarter of the largest float
+    if unit * bits.size > sys.float_info.max / 4:
+        raise DomainError("unit %r times %d segments overflows the coordinates"
+                          % (unit, bits.size))
     # k[j] is the heading index before symbol j + 1; |k| <= len(w)
     k = np.zeros(bits.size + 1, dtype=np.int32 if bits.size < 2**31 else np.int64)
     np.cumsum(_turn_signs(bits, parity), dtype=k.dtype, out=k[1:])

@@ -117,11 +117,3 @@ def test_seed_validation():
     with pytest.raises(DomainError):
         analysis.aspect_limit(2.0)
 
-
-def test_scaling_profile_consistent():
-    p = analysis.scaling_profile(1.1)
-    rp, rm = analysis.characteristic_roots(1.1)
-    assert p.alpha == 1.1
-    assert p.r_plus == rp and p.r_minus == rm
-    assert p.R == pytest.approx(1.0 / rp, rel=1e-15)
-    assert p.aspect_limit == pytest.approx((rp - 1.0) / math.sin(1.1), rel=1e-15)

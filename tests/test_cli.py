@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -126,9 +128,11 @@ def test_curve_alpha_out_of_range():
     assert run(["curve", "--n", "6", "--alpha", "2.0"]) == 2
 
 
+# a finite unit can still carry the coordinates past the largest float
 @pytest.mark.parametrize("flags", [["--unit", "inf"], ["--unit", "nan"],
                                    ["--stroke-width", "inf"],
-                                   ["--stroke-width", "nan"]])
+                                   ["--stroke-width", "nan"],
+                                   ["--unit", "1e308"]])
 def test_curve_non_finite_sizes_are_usage_errors(tmp_path, flags):
     out = tmp_path / "c.csv"
     assert run(["curve", "--n", "5", "--csv", str(out)] + flags) == 2
@@ -158,6 +162,17 @@ def test_stats_json_values(tmp_path):
     assert doc["width"] == pytest.approx(math.sqrt(2.0))
     assert doc["aspect"] == pytest.approx(2.0)
     assert doc["turn_count"] == -1
+
+
+def test_stats_json_writes_null_for_infinite_aspect(capsysbinary):
+    # json.loads takes Infinity by default, though JSON has no such number
+    def reject(name):
+        raise ValueError("not JSON: %s" % (name,))
+
+    assert run(["stats", "--n", "5", "--alpha", "0", "--format", "json"]) == 0
+    doc = json.loads(capsysbinary.readouterr().out, parse_constant=reject)
+    assert doc["aspect"] is None
+    assert doc["width"] == 8.0
 
 
 def test_stats_text_lines(capsysbinary):
@@ -201,9 +216,13 @@ def test_dim_plot_output(tmp_path):
     assert plot.read_text().count("<path") == 1
 
 
-def test_dim_bad_angle_list():
+def test_dim_bad_angle_list(tmp_path):
     assert run(["dim", "--alphas", "0,xyz"]) == 2
     assert run(["dim", "--alphas", "0,2.5"]) == 2
+    # an empty list is an error, not the default grid
+    assert run(["dim", "--alphas", ""]) == 2
+    assert run(["sweep", "--alphas", "", "--out", str(tmp_path / "s")]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +291,9 @@ def test_verify_full_level(tmp_path):
     check = next(c for c in rep["checks"]
                  if c["name"] == "ifs.curve_approaches_attractor")
     assert check["margin"] >= 0.5
+    # the report file holds the bytes verify prints without --out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7c9fae391d3dff5304dede4529ee02c032a6c3fd1e00c64b206eddb9294ebb49")
 
 
 @pytest.mark.parametrize("alpha", ["pi/6", "pi/3", "pi/2"])
@@ -309,7 +331,7 @@ def test_curve_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
     monkeypatch.setattr(ifsmod, "derive_ifs", perturbed)
     args = argparse.Namespace(i=i, alpha=math.pi / 2, parity="even-left",
                               negative_control=False)
-    check = next(c for c in cli._checks_ifs(args, None)
+    check = next(c for c in cli._checks_ifs(args)
                  if c["name"] == "ifs.curve_approaches_attractor")
     assert not check["passed"]
 
@@ -322,7 +344,7 @@ def test_hausdorff_check_catches_approximate_kernel(monkeypatch):
     from fibfrac import metrics
 
     def run_check():
-        checks = cli._checks_dim(None, np.random.default_rng(20240817))
+        checks = cli._checks_dim(None)
         return next(c for c in checks
                     if c["name"] == "dim.hausdorff_grid_vs_brute")
 
@@ -355,6 +377,10 @@ def test_missing_output_directory_is_usage_error(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert run(["curve", "--n", "6", "--csv", str(target)]) == 2
     assert not target.exists()
+    # a symlink is written through, so its target's directory must exist
+    (tmp_path / "link").symlink_to(target)
+    assert run(["curve", "--n", "6", "--csv", str(tmp_path / "link")]) == 2
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +405,49 @@ def test_no_temp_files_left_behind(tmp_path):
     out = tmp_path / "w.txt"
     assert run(["word", "--i", "2", "--n", "8", "--out", str(out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["w.txt"]
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "w.txt"
+    target.write_text("old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert run(["word", "--i", "2", "--n", "5", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == b"01001010\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real"]
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["w.txt"]
+
+
+def test_out_writes_a_fifo_directly(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a reader opened first lets the writer's open return at once
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["word", "--i", "2", "--n", "5", "--out", str(fifo)]) == 0
+        got = os.read(fd, 64)
+    finally:
+        os.close(fd)
+    assert got == b"01001010\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_file_modes_match_a_plain_open(tmp_path):
+    new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+    kept.write_text("old")
+    kept.chmod(0o640)
+    old_umask = os.umask(0o022)
+    try:
+        for path in (new, kept):
+            assert run(["word", "--i", "2", "--n", "5", "--out", str(path)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_bytes() == b"01001010\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Drawing rule, curve statistics, and the five-partite box geometry."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_bad_arguments():
         turtle.draw("010", 1.0, parity="sideways")
     with pytest.raises(DomainError):  # once cast to [0, 1, 0] and drawn
         turtle.draw([0.5, 1.7, 0.2], math.pi / 2)
+
+
+def test_unit_that_overflows_the_coordinates_rejected():
+    w = words.word_concat(2, 12)  # 233 segments
+    with pytest.raises(DomainError):
+        turtle.draw(w, PI2, unit=1e308)
+    # just under the bound the points and their stats stay finite
+    with np.errstate(over="raise", invalid="raise"):
+        p = turtle.draw(w, PI2, unit=0.999 * sys.float_info.max / 4 / len(w))
+        st_ = turtle.curve_stats(p)
+    assert np.isfinite(p.points).all()
+    assert math.isfinite(st_.w) and math.isfinite(st_.h)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
