@@ -43,7 +43,9 @@ EXIT_USAGE = 2
 CURVE_COLOR = "#1a5fb4"
 BBOX_COLOR = "#e01b24"
 
-MAX_SEGMENTS = 20_000_000  # drawing cap; keeps vertex buffers in memory
+# drawing cap: a drawn segment takes about 18 bytes (its 16-byte vertex, its
+# symbol and its turn), so about 360 MB at the cap
+MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 MAX_WORD_CHARS = 200_000_000

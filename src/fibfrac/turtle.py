@@ -5,6 +5,11 @@ j-th symbol (1-based) it draws one segment of length `unit`, then turns by
 alpha after a 0 (left on even j, right on odd j under the default parity)
 and keeps its heading after a 1.  Headings are tracked as integer multiples
 of alpha so direction never drifts over millions of segments.
+
+Drawing needs the returned vertex array (16 bytes per vertex) plus about 2
+bytes per symbol: the symbols and their turns.  draw and curve_stats go
+through the curve in blocks of _BLOCK symbols, so every other temporary
+they make, the heading table included, has at most one block's size.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .errors import DomainError
 INITIAL_HEADING = math.pi / 2
 
 PARITIES = ("even-left", "odd-left")
+
+# symbols (or points) per block in draw and curve_stats
+_BLOCK = 1 << 16
 
 
 def _turn_signs(bits: np.ndarray, parity: str) -> np.ndarray:
@@ -64,28 +72,37 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
     if unit * bits.size > sys.float_info.max / 4:
         raise DomainError("unit %r times %d segments overflows the coordinates"
                           % (unit, bits.size))
-    # k[j] is the heading index before symbol j + 1; |k| <= len(w)
-    k = np.zeros(bits.size + 1, dtype=np.int32 if bits.size < 2**31 else np.int64)
-    np.cumsum(_turn_signs(bits, parity), dtype=k.dtype, out=k[1:])
-    k_min = int(k.min())
-    k_total = int(k[-1])
-    # the headings take only k_max - k_min + 1 distinct values, so look up
-    # cos and sin in a table instead of evaluating them per symbol
-    heading = INITIAL_HEADING + alpha * np.arange(k_min, int(k.max()) + 1)
-    k -= k_min
+    signs = _turn_signs(bits, parity)
     pts = np.zeros((bits.size + 1, 2), dtype=np.float64)
-    np.cumsum((unit * np.cos(heading))[k[:-1]], out=pts[1:, 0])
-    np.cumsum((unit * np.sin(heading))[k[:-1]], out=pts[1:, 1])
+    k0 = 0  # heading index before the block's first symbol
+    for s in range(0, bits.size, _BLOCK):
+        block = signs[s : s + _BLOCK]
+        # k[j] is the heading index before symbol s + j + 1
+        k = np.empty(block.size, dtype=np.int64)
+        k[0] = k0
+        np.cumsum(block[:-1], dtype=np.int64, out=k[1:])
+        k[1:] += k0
+        k0 = int(k[-1]) + int(block[-1])
+        # the block's headings take only k_max - k_min + 1 distinct values,
+        # so look up cos and sin in a table instead of evaluating them per
+        # symbol; a table entry depends only on its own index
+        k_min = int(k.min())
+        heading = INITIAL_HEADING + alpha * np.arange(k_min, int(k.max()) + 1)
+        k -= k_min
+        for col, f in enumerate((np.cos, np.sin)):
+            # adding the running coordinate to the block's first step keeps
+            # the additions of one cumsum over the whole word
+            step = (unit * f(heading))[k]
+            step[0] += pts[s, col]
+            np.cumsum(step, out=pts[s + 1 : s + 1 + k.size, col])
     return Polyline(
-        points=pts, final_heading=INITIAL_HEADING + alpha * k_total, turn_count=k_total
+        points=pts, final_heading=INITIAL_HEADING + alpha * k0, turn_count=k0
     )
 
 
 def turn_count(w, parity: str = "even-left") -> int:
     """Net turn count of a word: the integer k with final heading pi/2 + k*alpha."""
     bits = words.as_bits(w)
-    if bits.size == 0:
-        return 0
     return int(_turn_signs(bits, parity).sum(dtype=np.int64))
 
 
@@ -124,8 +141,12 @@ def curve_stats(p) -> CurveStats:
     w = float(math.hypot(chord[0], chord[1]))
     if w > 0.0:
         ux, uy = chord[0] / w, chord[1] / w
-        eta = (pts[:, 0] - pts[0, 0]) * (-uy) + (pts[:, 1] - pts[0, 1]) * ux
-        h = float(eta.max() - eta.min())
+        lo, hi = math.inf, -math.inf
+        for s in range(0, pts.shape[0], _BLOCK):
+            b = pts[s : s + _BLOCK]
+            eta = (b[:, 0] - pts[0, 0]) * (-uy) + (b[:, 1] - pts[0, 1]) * ux
+            lo, hi = min(lo, eta.min()), max(hi, eta.max())
+        h = float(hi - lo)
     else:
         h = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     if h < 1e-12 * w or h == 0.0:
@@ -142,6 +163,12 @@ class OrientedBox:
     center: np.ndarray
     axis: np.ndarray
     half: tuple
+
+    def __post_init__(self):
+        # a NaN extent compares False against every bound, so a box with one
+        # would pass boxes_disjoint's test
+        if not all(np.isfinite(part).all() for part in (self.center, self.axis, self.half)):
+            raise DomainError("an oriented box needs a finite center, axis and half-extents")
 
     def corners(self) -> np.ndarray:
         u = self.axis
@@ -165,6 +192,8 @@ def oriented_box(p, frame_angle: float = 0.0) -> OrientedBox:
     pts = _as_points(p)
     if pts.shape[0] < 2:
         raise DomainError("oriented_box needs at least 2 points")
+    if not math.isfinite(frame_angle):
+        raise DomainError("frame_angle must be finite, got %r" % (frame_angle,))
     u = np.array([math.cos(frame_angle), math.sin(frame_angle)])
     v = np.array([-u[1], u[0]])
     rel = pts - pts[0]

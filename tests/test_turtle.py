@@ -2,6 +2,8 @@
 
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,15 +96,81 @@ RUNS = st.lists(st.tuples(st.sampled_from(["0", "1", "01", "10"]),
                           st.integers(1, 400)), max_size=12)
 
 
+def same_bits(a, b):
+    # np.array_equal counts -0.0 and 0.0 as equal
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def whole_array_stats(pts):
+    # curve_stats' formula applied to the whole array at once
+    chord = pts[-1] - pts[0]
+    w = float(math.hypot(chord[0], chord[1]))
+    if w > 0.0:
+        ux, uy = chord[0] / w, chord[1] / w
+        eta = (pts[:, 0] - pts[0, 0]) * (-uy) + (pts[:, 1] - pts[0, 1]) * ux
+        h = float(eta.max() - eta.min())
+    else:
+        h = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+    aspect = math.inf if h < 1e-12 * w or h == 0.0 else w / h
+    return w, h, aspect
+
+
+def check_against_reference(bits, alpha, unit, parity):
+    want, k_total = direct_draw(bits, alpha, unit, parity)
+    p = turtle.draw(bits, alpha, unit=unit, parity=parity)
+    assert same_bits(p.points, want)
+    assert p.turn_count == k_total
+    if bits.size:
+        st_ = turtle.curve_stats(p)
+        assert (st_.w, st_.h, st_.aspect) == whole_array_stats(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(RUNS, st.floats(0.0, math.pi / 2), st.floats(0.01, 100.0),
        st.sampled_from(turtle.PARITIES))
 def test_draw_equals_direct_formula_property(runs, alpha, unit, parity):
     bits = words.as_bits("".join(piece * count for piece, count in runs))
-    want, k_total = direct_draw(bits, alpha, unit, parity)
-    p = turtle.draw(bits, alpha, unit=unit, parity=parity)
-    assert np.array_equal(p.points, want)
-    assert p.turn_count == k_total
+    check_against_reference(bits, alpha, unit, parity)
+
+
+# short words, so that blocks of one symbol stay cheap
+SHORT_RUNS = st.lists(st.tuples(st.sampled_from(["0", "1", "01", "10"]),
+                                st.integers(1, 40)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SHORT_RUNS, st.sampled_from([1, 2, 3, 64]), st.floats(0.0, math.pi / 2),
+       st.floats(0.01, 100.0), st.sampled_from(turtle.PARITIES))
+def test_blocks_match_whole_array_property(runs, block, alpha, unit, parity):
+    bits = words.as_bits("".join(piece * count for piece, count in runs))
+    with mock.patch.object(turtle, "_BLOCK", block):
+        check_against_reference(bits, alpha, unit, parity)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, turtle._BLOCK + 1])
+def test_blocks_match_whole_array_at_block_edges(extra):
+    bits = words.word_concat(2, 26).bits()[: turtle._BLOCK + extra]
+    for parity in turtle.PARITIES:
+        check_against_reference(bits, 1.1, 1.0, parity)
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_draw_and_stats_temporaries_have_fixed_size(n):
+    # beyond the vertices, draw keeps the symbols and their turns (2 bytes
+    # per symbol); every other temporary of draw and curve_stats is one block
+    w = words.word_concat(2, n)
+    tracemalloc.start()
+    try:
+        p = turtle.draw(w, math.pi / 3)
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        turtle.curve_stats(p)
+        stats_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert draw_peak <= p.points.nbytes + 4 * len(w) + 2 * 2**20
+    assert stats_peak < 4 * 2**20
 
 
 def test_bad_arguments():
@@ -116,6 +184,8 @@ def test_bad_arguments():
         turtle.draw("010", 1.0, parity="sideways")
     with pytest.raises(DomainError):  # once cast to [0, 1, 0] and drawn
         turtle.draw([0.5, 1.7, 0.2], math.pi / 2)
+    with pytest.raises(DomainError):  # an empty word checks its parity too
+        turtle.turn_count("", parity="sideways")
 
 
 def test_unit_that_overflows_the_coordinates_rejected():
@@ -139,6 +209,17 @@ def test_non_finite_input_rejected(bad):
         turtle.curve_stats(cloud)
     with pytest.raises(DomainError):
         turtle.oriented_box(cloud)
+    with pytest.raises(DomainError):
+        turtle.oriented_box(cloud[::2], frame_angle=bad)
+    with pytest.raises(DomainError):
+        turtle.oriented_box(cloud[::2], frame_angle=-bad)
+    finite = dict(center=np.zeros(2), axis=np.array([1.0, 0.0]), half=(1.0, 1.0))
+    for field, value in [("center", np.array([0.0, bad])), ("axis", np.array([bad, 0.0])),
+                         ("half", (bad, 1.0))]:
+        with pytest.raises(DomainError):
+            turtle.boxes_disjoint([turtle.OrientedBox(**{**finite, field: value})])
+    with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+        turtle.oriented_box([[-1e308, 0.0], [1e308, 0.0]])  # extents overflow
 
 
 def test_stats_reference_triangle():
