@@ -44,7 +44,7 @@ CURVE_COLOR = "#1a5fb4"
 BBOX_COLOR = "#e01b24"
 
 # drawing cap: a drawn segment takes about 18 bytes (its 16-byte vertex, its
-# symbol and its turn), so about 360 MB at the cap
+# symbol and turn), 360 MB at the cap; an SVG takes about 2.4 times its size
 MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
@@ -185,8 +185,6 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     def g(v: float) -> str:
         return format(v, ".9g")
 
-    xy = tuple(np.column_stack((xs, ys)).ravel().tolist())
-    d = "M" + (("L%.9g %.9g" * len(pts)) % xy)[1:]  # "%.9g" % v == format(v, ".9g")
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -198,12 +196,15 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
             'stroke="%s" stroke-width="%s"/>\n'
             % (g(x0), g(y0), g(x1 - x0), g(y1 - y0), BBOX_COLOR, g(0.5 * sw))
         )
-    parts.append(
-        '<path d="%s" fill="none" stroke="%s" stroke-width="%s" '
-        'stroke-linejoin="round" stroke-linecap="round"/>\n' % (d, CURVE_COLOR, g(sw))
-    )
-    parts.append("</svg>\n")
-    return "".join(parts).encode("ascii")
+    parts.append('<path d="M')
+    path = []  # formatted a block at a time; "%.9g" % v == format(v, ".9g")
+    for start in range(0, len(pts), CSV_BLOCK_ROWS):
+        block = pts[start:start + CSV_BLOCK_ROWS] * (1.0, -1.0)  # same bits as -y
+        path.append((b"L%.9g %.9g" * len(block)) % tuple(block.ravel().tolist()))
+    path[0] = path[0][1:]  # the first point is the M, not an L
+    tail = ('" fill="none" stroke="%s" stroke-width="%s" stroke-linejoin="round" '
+            'stroke-linecap="round"/>\n</svg>\n' % (CURVE_COLOR, g(sw)))
+    return b"".join(["".join(parts).encode("ascii"), *path, tail.encode("ascii")])
 
 
 def _require(cond: bool, msg: str) -> None:

@@ -127,8 +127,15 @@ def box_counting_dimension(pts, eps_max: float, eps_min: float,
         raise DomainError("need a finite eps_max > eps_min > 0")
     levels = words._as_int(levels, "levels", 5)
     lo = pts.min(axis=0)
-    if (pts.max(axis=0) == lo).all():
+    ext = pts.max(axis=0) - lo
+    if (ext == 0.0).all():
         raise DomainError("all points coincide; no scaling range")
+    # _box_count_offset's grid at eps_min, where offset 0.75 reaches furthest:
+    # its int64 cell key needs fewer than 2^62 cells
+    top = [(e + 0.75 * eps_min) / eps_min for e in ext.tolist()]
+    if not (math.isfinite(top[0] * top[1])
+            and (math.floor(top[0]) + 1) * (math.floor(top[1]) + 1) < 2**62):
+        raise DomainError("eps_min = %r gives 2^62 grid cells or more" % (eps_min,))
     scales = np.geomspace(eps_max, eps_min, levels)
     rel = pts - lo
     counts = [
@@ -152,7 +159,7 @@ def _normalized_curve(i: int, n: int, alpha: float,
     pts = turtle.draw(words.word_concat(i, n), alpha, parity=parity).points
     chord = math.hypot(pts[-1, 0], pts[-1, 1])
     if chord > 0.0:
-        pts = pts * (ifs_mod.CHORD_LENGTH / chord)
+        pts *= ifs_mod.CHORD_LENGTH / chord  # the drawn array is our own
     return pts
 
 

@@ -7,9 +7,10 @@ and keeps its heading after a 1.  Headings are tracked as integer multiples
 of alpha so direction never drifts over millions of segments.
 
 Drawing needs the returned vertex array (16 bytes per vertex) plus about 2
-bytes per symbol: the symbols and their turns.  draw and curve_stats go
-through the curve in blocks of _BLOCK symbols, so every other temporary
-they make, the heading table included, has at most one block's size.
+bytes per symbol: the symbols and their turns.  draw, curve_stats and
+oriented_box go through the curve in blocks of _BLOCK symbols, so every
+other temporary they make, the heading table included, has at most one
+block's size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ INITIAL_HEADING = math.pi / 2
 
 PARITIES = ("even-left", "odd-left")
 
-# symbols (or points) per block in draw and curve_stats
+# symbols (or points) per block in draw and _extent
 _BLOCK = 1 << 16
 
 
@@ -127,6 +128,16 @@ def _as_points(p, name: str = "points") -> np.ndarray:
     return pts
 
 
+def _extent(pts: np.ndarray, ux: float, uy: float) -> tuple:
+    """(lo, hi) of (p - pts[0]) . (ux, uy) over the points, a block at a time."""
+    lo, hi = math.inf, -math.inf
+    for s in range(0, pts.shape[0], _BLOCK):
+        b = pts[s : s + _BLOCK]
+        t = (b[:, 0] - pts[0, 0]) * ux + (b[:, 1] - pts[0, 1]) * uy
+        lo, hi = min(lo, t.min()), max(hi, t.max())
+    return float(lo), float(hi)
+
+
 def curve_stats(p) -> CurveStats:
     """Width w = |last - first|; height h = perpendicular spread across the chord.
 
@@ -140,13 +151,8 @@ def curve_stats(p) -> CurveStats:
     chord = pts[-1] - pts[0]
     w = float(math.hypot(chord[0], chord[1]))
     if w > 0.0:
-        ux, uy = chord[0] / w, chord[1] / w
-        lo, hi = math.inf, -math.inf
-        for s in range(0, pts.shape[0], _BLOCK):
-            b = pts[s : s + _BLOCK]
-            eta = (b[:, 0] - pts[0, 0]) * (-uy) + (b[:, 1] - pts[0, 1]) * ux
-            lo, hi = min(lo, eta.min()), max(hi, eta.max())
-        h = float(hi - lo)
+        lo, hi = _extent(pts, -chord[1] / w, chord[0] / w)
+        h = hi - lo
     else:
         h = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     if h < 1e-12 * w or h == 0.0:
@@ -196,11 +202,8 @@ def oriented_box(p, frame_angle: float = 0.0) -> OrientedBox:
         raise DomainError("frame_angle must be finite, got %r" % (frame_angle,))
     u = np.array([math.cos(frame_angle), math.sin(frame_angle)])
     v = np.array([-u[1], u[0]])
-    rel = pts - pts[0]
-    xi = rel @ u
-    eta = rel @ v
-    xi_lo, xi_hi = float(xi.min()), float(xi.max())
-    eta_lo, eta_hi = float(eta.min()), float(eta.max())
+    xi_lo, xi_hi = _extent(pts, u[0], u[1])
+    eta_lo, eta_hi = _extent(pts, v[0], v[1])
     center = pts[0] + u * (0.5 * (xi_lo + xi_hi)) + v * (0.5 * (eta_lo + eta_hi))
     half = (0.5 * (xi_hi - xi_lo), 0.5 * (eta_hi - eta_lo))
     return OrientedBox(center=center, axis=u, half=half)
@@ -218,13 +221,13 @@ def subcurves(i: int, n: int, alpha: float, parity: str = "even-left"):
     OrientedBoxes).
     """
     fp = words.five_partite(i, n)  # validates n >= 7 and the decomposition
-    bits = fp.word.bits()
+    signs = _turn_signs(fp.word.bits(), parity)
     whole = draw(fp.word, alpha, parity=parity)
     polys = []
     boxes = []
     k1 = 0  # turn count of the prefix before the part; parts are contiguous
     for start, end in fp.parts:
-        k0, k1 = k1, turn_count(bits[:end], parity)
+        k0, k1 = k1, k1 + int(signs[start:end].sum(dtype=np.int64))
         pts = whole.points[start : end + 1]
         polys.append(
             Polyline(
@@ -288,15 +291,6 @@ def similar_order(i: int, k: int) -> int:
     return 6 * words._as_int(k, "k", 0) + (5 if i % 2 == 0 else 3)
 
 
-def check_box_residue(i: int, n: int) -> None:
-    """Axis-aligned box claims hold for n = 5 mod 6 (even i), n = 3 mod 6 (odd i)."""
-    want = similar_order(i, 0)
-    if n % 6 != want:
-        raise DomainError(
-            "for i=%d the box property needs n = %d (mod 6), got n=%d" % (i, want, n)
-        )
-
-
 def endpoints_on_box(i: int, n: int, parity: str = "even-left") -> bool:
     """True iff both endpoints of the curve drawn at pi/2 sit on its bounding box.
 
@@ -305,19 +299,13 @@ def endpoints_on_box(i: int, n: int, parity: str = "even-left") -> bool:
     the endpoints land exactly on box corners; for odd i they sit on the top
     and bottom edges.
     """
-    check_box_residue(i, n)
-    p = draw(words.word_concat(i, n), math.pi / 2, parity=parity)
-    pts = p.points
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    tol = 1e-9 * math.hypot(hi[0] - lo[0], hi[1] - lo[1])
-    ok = True
-    for q in (pts[0], pts[-1]):
-        on_edge = (
-            abs(q[0] - lo[0]) <= tol
-            or abs(q[0] - hi[0]) <= tol
-            or abs(q[1] - lo[1]) <= tol
-            or abs(q[1] - hi[1]) <= tol
+    want = similar_order(i, 0)
+    if n % 6 != want:
+        raise DomainError(
+            "for i=%d the box property needs n = %d (mod 6), got n=%d" % (i, want, n)
         )
-        ok = ok and on_edge
-    return ok
+    pts = draw(words.word_concat(i, n), math.pi / 2, parity=parity).points
+    box = oriented_box(pts)
+    # distance of each endpoint to the nearer edge, along each axis
+    gaps = np.abs(np.abs(pts[[0, -1]] - box.center) - box.half)
+    return bool((gaps.min(axis=1) <= 1e-9 * box.diagonal()).all())

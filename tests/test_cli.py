@@ -10,13 +10,14 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import cli, ifs as ifsmod, words
+from fibfrac import cli, ifs as ifsmod, turtle, words
 from fibfrac.errors import DomainError
 
 
@@ -589,6 +590,26 @@ def test_points_csv_rejects_other_shapes(shape):
 @given(_rows_with_runs(st.tuples(_finite_float, _finite_float)).filter(len))
 def test_svg_path_matches_per_point_join(pts):
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
+
+
+@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                               2 * cli.CSV_BLOCK_ROWS + 3])
+def test_svg_path_block_sizes(n):
+    pts = _block_case(n, seed=2)
+    assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
+
+
+@pytest.mark.parametrize("n", [25, 28])
+def test_svg_temporaries_are_a_small_multiple_of_the_output(n):
+    # the formatted blocks and their join, plus the flipped y extents
+    curve = turtle.draw(words.word_concat(2, n), math.pi / 3).points
+    tracemalloc.start()
+    try:
+        svg = cli.polyline_svg(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(svg) + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,35 @@ def test_dimension_argument_validation():
                                            levels=5)
     with pytest.raises(DomainError):
         metrics.box_counting_dimension(seg, eps_max=0.5, eps_min=0.01, levels=3)
+
+
+def test_box_count_grid_too_large_for_int64_keys_rejected():
+    # at eps = 1 these grids have about 2^64 and 10^30 cells: the first key
+    # wraps around int64 and counts 2 of 3 cells, the second cannot be cast
+    for pts in ([[0, 0], [2**31, 0], [0, 2**33 - 1]], [[0, 0], [1e30, 0]]):
+        with pytest.raises(DomainError):
+            metrics.box_counting_dimension(np.array(pts, float), eps_max=2.0,
+                                           eps_min=1.0, levels=5)
+    with pytest.raises(DomainError), np.errstate(over="ignore"):
+        metrics.box_counting_dimension(np.array([[-1e308, 0.0], [1e308, 1.0]]),
+                                       eps_max=2.0, eps_min=1.0, levels=5)
+    # just under 2^62 cells every level counts the 3 distinct cells
+    near = np.array([[0, 0], [2**31 - 1, 0], [0, 2**30]], float)
+    assert metrics._box_count_offset(near, 1.0, 0.75) == 3
+    got = metrics.box_counting_dimension(near, eps_max=2.0, eps_min=1.0, levels=5)
+    assert abs(got.boxcount_s) < 1e-12
+
+
+def test_normalized_curve_scales_in_place():
+    # the scaled curve is the drawn array itself: beyond it, drawing keeps
+    # the symbols and their turns (4 bytes per symbol with the word)
+    tracemalloc.start()
+    try:
+        pts = metrics._normalized_curve(2, 28, math.pi / 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pts.nbytes + 4 * (len(pts) - 1) + 2 * 2**20
 
 
 def test_normalized_curve_frame():

@@ -272,6 +272,42 @@ def test_oriented_box_rotated_frame():
     assert np.all(np.abs(rel @ v) <= box.half[1] + 1e-12)
 
 
+def whole_array_box(cloud, theta):
+    # oriented_box's extents taken over the whole array at once
+    u = np.array([math.cos(theta), math.sin(theta)])
+    rel = cloud - cloud[0]
+    return [(float(t.min()), float(t.max())) for t in (rel @ u, rel @ [-u[1], u[0]])]
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_oriented_box_blocks_match_whole_array(block):
+    rng = np.random.default_rng(block)
+    cloud = np.concatenate([rng.uniform(-5, 5, size=(200, 2)),
+                            pts(words.word_concat(2, 11), 1.1)])
+    for theta in (0.0, 0.6, PI2, 2.5):
+        with mock.patch.object(turtle, "_BLOCK", block):
+            box = turtle.oriented_box(cloud, frame_angle=theta)
+        (xi_lo, xi_hi), (eta_lo, eta_hi) = whole_array_box(cloud, theta)
+        u = box.axis
+        v = np.array([-u[1], u[0]])
+        want_center = cloud[0] + u * (xi_lo + xi_hi) / 2 + v * (eta_lo + eta_hi) / 2
+        scale = np.abs(cloud).max()
+        assert np.abs(box.center - want_center).max() <= 1e-12 * scale
+        assert np.abs(np.subtract(box.half, [(xi_hi - xi_lo) / 2,
+                                             (eta_hi - eta_lo) / 2])).max() <= 1e-12 * scale
+
+
+def test_oriented_box_temporaries_have_fixed_size():
+    cloud = pts(words.word_concat(2, 29), PI2)
+    tracemalloc.start()
+    try:
+        turtle.oriented_box(cloud, frame_angle=0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("i,n", [(2, 10), (3, 11), (5, 9)])
 def test_subcurves_share_junctions(i, n):
     polys, boxes = turtle.subcurves(i, n, 0.8)
@@ -345,15 +381,6 @@ def test_boxes_touching_edges_allowed():
     assert turtle.boxes_disjoint([mk(0.0), mk(2.0)]).disjoint
 
 
-def test_box_residue_check():
-    turtle.check_box_residue(2, 17)
-    turtle.check_box_residue(3, 15)
-    with pytest.raises(DomainError):
-        turtle.check_box_residue(2, 16)
-    with pytest.raises(DomainError):
-        turtle.check_box_residue(3, 17)
-
-
 def test_similar_orders():
     got = [turtle.similar_order(i, k) for i in (2, 3) for k in (0, 2, 24)]
     assert got == [5, 17, 149, 3, 15, 147]
@@ -368,5 +395,7 @@ def test_endpoints_on_box(i, n):
 
 
 def test_endpoints_on_box_guards():
-    with pytest.raises(DomainError):
-        turtle.endpoints_on_box(2, 16)
+    # the claim holds only at the similar orders' residue mod 6
+    for i, n in [(2, 16), (3, 17)]:
+        with pytest.raises(DomainError):
+            turtle.endpoints_on_box(i, n)
