@@ -167,9 +167,12 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     The viewBox is fitted to the data with a 2 percent margin; the y axis is
     flipped so the drawing appears in the usual orientation.  Stroke width
     defaults to 0.5 percent of the viewBox width.  Number formatting is fixed
-    so equal inputs give byte-identical files.
+    so equal inputs give byte-identical files.  The points must form a
+    non-empty (N, 2) array of finite coordinates.
     """
-    pts = np.asarray(pts, dtype=np.float64)
+    pts = turtle._as_points(pts)
+    if len(pts) == 0:
+        raise DomainError("an SVG polyline needs at least one point")
     xs = pts[:, 0]
     ys = -pts[:, 1]
     x0, x1 = float(xs.min()), float(xs.max())

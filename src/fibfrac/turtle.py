@@ -6,11 +6,16 @@ alpha after a 0 (left on even j, right on odd j under the default parity)
 and keeps its heading after a 1.  Headings are tracked as integer multiples
 of alpha so direction never drifts over millions of segments.
 
+draw writes the vertices as complex numbers x + iy.  For each block of
+_BLOCK symbols it gathers the symbols' steps from a table of the block's
+headings into one complex step array (16 bytes per symbol, reused from block
+to block), then runs one cumsum of the steps into the vertex array.
+
 Drawing needs the returned vertex array (16 bytes per vertex) plus about 2
 bytes per symbol: the symbols and their turns.  draw, curve_stats and
 oriented_box go through the curve in blocks of _BLOCK symbols, so every
-other temporary they make, the heading table included, has at most one
-block's size.
+other temporary they make, the step array and heading table included, has
+at most one block's size.
 """
 
 from __future__ import annotations
@@ -75,27 +80,36 @@ def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyl
                           % (unit, bits.size))
     signs = _turn_signs(bits, parity)
     pts = np.zeros((bits.size + 1, 2), dtype=np.float64)
+    # vertex j as x + iy; complex addition adds x and y separately, so one
+    # complex cumsum makes the same bits as a cumsum per coordinate
+    z = pts.view(np.complex128)[:, 0]
+    steps = np.empty(min(bits.size, _BLOCK), dtype=np.complex128)
     k0 = 0  # heading index before the block's first symbol
     for s in range(0, bits.size, _BLOCK):
         block = signs[s : s + _BLOCK]
-        # k[j] is the heading index before symbol s + j + 1
-        k = np.empty(block.size, dtype=np.int64)
-        k[0] = k0
-        np.cumsum(block[:-1], dtype=np.int64, out=k[1:])
-        k[1:] += k0
-        k0 = int(k[-1]) + int(block[-1])
-        # the block's headings take only k_max - k_min + 1 distinct values,
+        # k0 + r[j] is the heading index before symbol s + j + 1; a block
+        # turns at most _BLOCK times, so r fits in int32
+        r = np.empty(block.size, dtype=np.int32)
+        r[0] = 0
+        np.cumsum(block[:-1], dtype=np.int32, out=r[1:])
+        r_min, r_max = int(r.min()), int(r.max())
+        # the block's headings take only r_max - r_min + 1 distinct values,
         # so look up cos and sin in a table instead of evaluating them per
         # symbol; a table entry depends only on its own index
-        k_min = int(k.min())
-        heading = INITIAL_HEADING + alpha * np.arange(k_min, int(k.max()) + 1)
-        k -= k_min
-        for col, f in enumerate((np.cos, np.sin)):
-            # adding the running coordinate to the block's first step keeps
-            # the additions of one cumsum over the whole word
-            step = (unit * f(heading))[k]
-            step[0] += pts[s, col]
-            np.cumsum(step, out=pts[s + 1 : s + 1 + k.size, col])
+        heading = INITIAL_HEADING + alpha * np.arange(k0 + r_min, k0 + r_max + 1)
+        tab = np.empty(heading.size, dtype=np.complex128)
+        tab.real = unit * np.cos(heading)
+        tab.imag = unit * np.sin(heading)
+        k0 += int(r[-1]) + int(block[-1])
+        r -= r_min
+        step = steps[: r.size]
+        # every index is in range, so "clip" clips nothing; unlike "raise" it
+        # writes straight into out instead of into a copy of it
+        np.take(tab, r, out=step, mode="clip")
+        # adding the running vertex to the block's first step keeps the
+        # additions of one cumsum over the whole word
+        step[0] += z[s]
+        np.cumsum(step, out=z[s + 1 : s + 1 + r.size])
     return Polyline(
         points=pts, final_heading=INITIAL_HEADING + alpha * k0, turn_count=k0
     )
@@ -155,6 +169,9 @@ def curve_stats(p) -> CurveStats:
         h = hi - lo
     else:
         h = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
+    # finite points can lie too far apart for their differences to be finite
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise DomainError("the curve's extents overflow: w=%r, h=%r" % (w, h))
     if h < 1e-12 * w or h == 0.0:
         aspect = math.inf
     else:

@@ -11,6 +11,7 @@ import re
 import stat
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -590,6 +591,33 @@ def test_points_csv_rejects_other_shapes(shape):
 @given(_rows_with_runs(st.tuples(_finite_float, _finite_float)).filter(len))
 def test_svg_path_matches_per_point_join(pts):
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    np.array([[0.0, 0.0], [np.nan, 1.0]]),
+    np.array([[0.0, 0.0], [1.0, -np.inf]]),
+    np.zeros((0, 2)),
+    np.zeros(4),
+    np.zeros((3, 3)),
+], ids=["nan", "inf", "empty", "1-d", "3-columns"])
+def test_svg_rejects_bad_points(pts):
+    with pytest.raises(DomainError):
+        cli.polyline_svg(pts)
+
+
+@pytest.mark.parametrize("argv,points", [
+    (["stats", "--n", "5"], [[-1e308, 0.0], [1e308, 0.0]]),
+    (["curve", "--n", "5", "--svg"], [[0.0, 0.0], [np.nan, 1.0]]),
+], ids=["stats-overflow", "svg-nan"])
+def test_bad_drawn_points_exit_2(argv, points, tmp_path):
+    # draw's own checks keep such points out, so stand in for it
+    bad = turtle.Polyline(points=np.array(points), final_heading=0.0, turn_count=0)
+    if argv[-1] == "--svg":
+        argv = argv + [str(tmp_path / "c.svg")]
+    with mock.patch.object(cli.turtle, "draw", return_value=bad), \
+            np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv) == 2
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("n", [1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,

@@ -1,5 +1,6 @@
 """Drawing rule, curve statistics, and the five-partite box geometry."""
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -173,6 +174,38 @@ def test_draw_and_stats_temporaries_have_fixed_size(n):
     assert stats_peak < 4 * 2**20
 
 
+# SHA-256 of draw(word_concat(2, 29), alpha).points.tobytes(): 832,041
+# vertices in 13 blocks, on the many-block path of acceptance tests 06 and 11
+DRAW_DIGESTS_29 = [
+    ("even-left", 0.0,
+     "1b2c6d0f008936f020ff84759b6869cb494dacee085cc32dead2bfb8e2bf1513"),
+    ("even-left", math.pi / 6,
+     "ad77aca636b84b216ac770c0687e9c19255290eb3667dd18628c3e4f3751eac2"),
+    ("even-left", math.pi / 4,
+     "a300b1e8f9a71a09cbce5629cd11e10d500f5a491a60b390edef7ea69f918006"),
+    ("even-left", math.pi / 3,
+     "9602205705b09df3fed8bf2102662aa08f9225dfbf72843c23a4d92d70910ca9"),
+    ("even-left", PI2,
+     "afc74b01fd95e7f00cb6710f08537790349689e98da20baac8a616016ba85b63"),
+    ("odd-left", 0.0,
+     "1b2c6d0f008936f020ff84759b6869cb494dacee085cc32dead2bfb8e2bf1513"),
+    ("odd-left", math.pi / 6,
+     "1d530dfe266132dbf2168d9b48e045428aa2566be41dd202d7118241bdc5d102"),
+    ("odd-left", math.pi / 4,
+     "d2a4b59865ebd68a96ebb4149cc63aee3927d49c76ef4debeac71618c7e71cf0"),
+    ("odd-left", math.pi / 3,
+     "d590340c697169d8037663cae5223b84d37c9ef7663fb6eb14428d829598bded"),
+    ("odd-left", PI2,
+     "2437865f3718b982f3bdcf506e9cbffa554f2805c90327d0df76f704d4f70980"),
+]
+
+
+@pytest.mark.parametrize("parity,alpha,digest", DRAW_DIGESTS_29)
+def test_draw_bytes_at_scale(parity, alpha, digest):
+    p = turtle.draw(words.word_concat(2, 29), alpha, parity=parity)
+    assert hashlib.sha256(p.points.tobytes()).hexdigest() == digest
+
+
 def test_bad_arguments():
     with pytest.raises(DomainError):
         turtle.draw("010", -0.1)
@@ -198,6 +231,16 @@ def test_unit_that_overflows_the_coordinates_rejected():
         st_ = turtle.curve_stats(p)
     assert np.isfinite(p.points).all()
     assert math.isfinite(st_.w) and math.isfinite(st_.h)
+
+
+@pytest.mark.parametrize("points", [
+    [[-1e308, 0.0], [1e308, 0.0]],  # the chord overflows
+    [[0.0, -1e308], [0.0, 1e308], [1.0, -1e308]],  # the height overflows
+    [[0.0, -1e308], [0.0, 1e308], [0.0, -1e308]],  # closed curve, w = 0
+])
+def test_curve_stats_rejects_overflowing_extents(points):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        turtle.curve_stats(points)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import analysis, ifs, metrics, turtle, words
+from fibfrac import ifs, metrics, turtle, words
 from fibfrac.errors import DomainError
 
 # first five words of the i = 2 and i = 3 families, written out by hand
@@ -264,11 +264,9 @@ def test_index_validation():
     lambda: words.l_word_bits(2, 2.5),
     lambda: ifs.attractor(ifs.derive_ifs(2, 1.0), 2.5),
     lambda: metrics.box_counting_dimension(np.eye(2), 1.0, 0.1, levels=5.5),
-    lambda: analysis.wh_sequence(1.0, (1.0, 3.0, 1.0), k_max=2.5),
     lambda: turtle.draw([[0], [0, 1]], 1.0),
 ], ids=["fib_length-i", "fib_length-n-bool", "word_concat", "five_partite",
-        "l_word_bits", "attractor-depth", "box-count-levels", "wh_sequence-k_max",
-        "draw-ragged"])
+        "l_word_bits", "attractor-depth", "box-count-levels", "draw-ragged"])
 def test_non_integer_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
