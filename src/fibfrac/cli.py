@@ -49,6 +49,10 @@ MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 MAX_WORD_CHARS = 200_000_000
+# alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 92 MB
+# RSS writing CSV and at 216 MB writing JSON, which holds every row as
+# Python objects
+MAX_GRID = 100_000
 # rows per % call in points_csv.  Larger blocks are no faster, and their
 # strings, freed between the output buffer's growth steps, leave heap holes
 # the buffer cannot grow into: on a 2-core Linux box `export` peaked at
@@ -168,7 +172,7 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     flipped so the drawing appears in the usual orientation.  Stroke width
     defaults to 0.5 percent of the viewBox width.  Number formatting is fixed
     so equal inputs give byte-identical files.  The points must form a
-    non-empty (N, 2) array of finite coordinates.
+    non-empty (N, 2) array of finite coordinates whose viewBox is finite.
     """
     pts = turtle._as_points(pts)
     if len(pts) == 0:
@@ -184,6 +188,10 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     vx, vy = x0 - m, y0 - m
     vw, vh = (x1 - x0) + 2.0 * m, (y1 - y0) + 2.0 * m
     sw = 0.005 * vw if stroke_width is None else float(stroke_width)
+    # finite points can lie too far apart for their spread to be finite
+    if not all(math.isfinite(v) for v in (vx, vy, vw, vh, sw)):
+        raise DomainError("the SVG viewBox or stroke width overflows: "
+                          "%r %r %r %r, %r" % (vx, vy, vw, vh, sw))
 
     def g(v: float) -> str:
         return format(v, ".9g")
@@ -228,6 +236,20 @@ def _check_alpha(a: float, msg: str) -> float:
     return min(a, math.pi / 2)
 
 
+def _longest_order(args):
+    """Order of the longest word the command draws, None if none depends on --i."""
+    sub = args.subcommand
+    if sub in ("word", "curve", "stats"):
+        return args.n
+    if sub in ("ifs", "attractor") or (
+            sub == "sweep" and ("ifs" in args.what or "attractor" in args.what)):
+        return turtle.similar_order(args.i, 2)  # derive_ifs's reference curve
+    if sub == "verify":
+        return max((_GROUP_ORDERS[g](args.i) for g in _verify_groups(args)
+                    if g in _GROUP_ORDERS), default=None)
+    return None
+
+
 def _validate(args) -> None:
     """Check every flag before any work starts and fill in the derived values.
 
@@ -248,16 +270,6 @@ def _validate(args) -> None:
     if "alpha" in given:
         args.alpha = _check_alpha(args.alpha, "alpha must lie in [0, pi/2], got %s")
 
-    if sub in ("word", "curve", "stats"):
-        try:
-            length = words.fib_length(args.i, args.n)
-        except OverflowError:
-            raise ValueError("f_%d^[%d] is too long to materialize"
-                             % (args.n, args.i)) from None
-        cap = MAX_WORD_CHARS if sub == "word" else MAX_SEGMENTS
-        _require(length <= cap, "f_%d^[%d] has %d symbols, over the %d cap"
-                 % (args.n, args.i, length, cap))
-
     if "depth" in given:
         _require(0 <= args.depth <= MAX_DEPTH,
                  "depth must be in 0..%d, got %d" % (MAX_DEPTH, args.depth))
@@ -273,8 +285,8 @@ def _validate(args) -> None:
         if args.alphas is not None:
             alphas = parse_angle_list(args.alphas)
         else:
-            _require(args.grid >= 2,
-                     "grid needs at least 2 points, got %d" % (args.grid,))
+            _require(2 <= args.grid <= MAX_GRID, "grid needs 2..%d points, got %d"
+                     % (MAX_GRID, args.grid))
             alphas = tuple(float(a) for a in np.linspace(0.0, math.pi / 2, args.grid))
         args.alphas = tuple(_check_alpha(a, "grid alpha %s outside [0, pi/2]")
                             for a in alphas)
@@ -286,6 +298,19 @@ def _validate(args) -> None:
             _require(tok in ("dim", "ifs", "attractor"), "bad sweep output %r" % (tok,))
         _require(os.path.isdir(args.out) or not os.path.exists(args.out),
                  "sweep output path is not a directory: %r" % (args.out,))
+
+    n = _longest_order(args)
+    if n is not None:
+        try:
+            length = words.fib_length(args.i, n)
+        except OverflowError:
+            raise ValueError("f_%d^[%d] is too long to materialize"
+                             % (n, args.i)) from None
+        cap = MAX_WORD_CHARS if sub == "word" else MAX_SEGMENTS
+        _require(length <= cap, "f_%d^[%d] has %d symbols, over the %d cap"
+                 % (n, args.i, length, cap))
+
+    if sub == "sweep":
         os.makedirs(args.out, exist_ok=True)
     else:
         _check_out_dir(args.out)
@@ -424,6 +449,12 @@ def _checks_words(args) -> list:
     return out
 
 
+def _width_ratio_order(i: int) -> int:
+    # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
+    # i = 3, pi/2); two more orders bring it within 2e-6
+    return 22 if i % 2 == 0 else 24
+
+
 def _checks_curves(args) -> list:
     out = []
     w12 = words.word_concat(args.i, 12)
@@ -443,9 +474,7 @@ def _checks_curves(args) -> list:
     out.append(_check("curves.heading_bookkeeping", ok,
                       "final heading is pi/2 + k*alpha with integer k"))
 
-    # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
-    # i = 3, pi/2); two more orders bring it within 2e-6
-    n_hi = 22 if args.i % 2 == 0 else 24
+    n_hi = _width_ratio_order(args.i)
     ws = {}
     for n in (n_hi - 3, n_hi):
         st_n = turtle.curve_stats(
@@ -503,7 +532,7 @@ def _checks_ifs(args) -> list:
     out.append(_tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
                           "normalized f_%d against the depth-7 attractor" % (n,)))
 
-    # dataclass equality compares every map field, alpha, parity and frame
+    # dataclass equality compares the maps, alpha, parity and chord direction
     ok = ifsmod.from_json(ifsmod.to_json(F)) == F
     out.append(_check("ifs.json_round_trip", ok,
                       "17 significant digits survive the round trip"))
@@ -578,15 +607,25 @@ def _checks_full(args) -> list:
 # cumulative check groups, in the order --level counts them
 _LEVELS = {"words": _checks_words, "curves": _checks_curves, "ifs": _checks_ifs,
            "dim": _checks_dim, "full": _checks_full}
+# the order of the longest word a group draws; words and dim draw only fixed
+# orders, whatever --i is
+_GROUP_ORDERS = {"curves": _width_ratio_order,
+                 "ifs": lambda i: turtle.similar_order(i, 3),
+                 "full": lambda i: turtle.similar_order(i, 4)}
+
+
+def _verify_groups(args) -> list:
+    """Names of the check groups a verify run selects, in run order."""
+    last = list(_LEVELS).index(args.level)
+    # the negative control is an ifs check, so it runs at every level
+    return [name for k, name in enumerate(_LEVELS)
+            if k <= last or (name == "ifs" and args.negative_control)]
 
 
 def cmd_verify(args) -> int:
-    last = list(_LEVELS).index(args.level)
     checks = []
-    for k, (name, group) in enumerate(_LEVELS.items()):
-        # the negative control is an ifs check, so it runs at every level
-        if k <= last or (name == "ifs" and args.negative_control):
-            checks += group(args)
+    for name in _verify_groups(args):
+        checks += _LEVELS[name](args)
 
     passed = all(c["passed"] for c in checks)
     for c in checks:

@@ -9,6 +9,10 @@ class DomainError(FibfracError, ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
+class OrderOverflowError(DomainError, OverflowError):
+    """A word order whose length does not fit in a signed 64-bit integer."""
+
+
 class StructureError(FibfracError, ValueError):
     """A word or decomposition violates a structural invariant."""
 

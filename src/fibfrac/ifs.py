@@ -126,7 +126,8 @@ _MIRROR = np.array([[-1.0, 0.0], [0.0, 1.0]])
 class _Skeleton:
     """Exact chord and junction-hexagon recursion for drawings of f_m and l_m.
 
-    Seeds for 7 <= m <= 12 come from direct drawing; higher orders follow
+    Seeds for 7 <= m <= 12 are read off the reference drawing, which has
+    every f_m as a prefix, and off drawings of l_m; higher orders follow
     from the five-partite assembly.  A part starting at an odd symbol offset
     sees the position parity flipped, which mirrors its drawing across the
     initial heading axis and negates its turn count; the bookkeeping here
@@ -134,7 +135,7 @@ class _Skeleton:
     f_m with its last point moved to l_m's endpoint.
     """
 
-    def __init__(self, i, alpha, parity, draw_parity, m_max):
+    def __init__(self, i, alpha, parity, draw_parity, m_max, bits, drawn):
         self.alpha = alpha
         self.sgn = 1 if parity == "even-left" else -1
         # exact arbitrary-precision lengths: only offset parities are needed,
@@ -148,12 +149,11 @@ class _Skeleton:
         self.Kl = {}
         self.H = {}  # six-point junction hexagons of f_m
         # step 13 reads orders 10 and 7, the lowest any step reads
+        signs = turtle._turn_signs(bits[: self.L[12]], parity)
         for m in range(7, 13):
-            w = words.word_concat(i, m)
-            p = turtle.draw(w, alpha, parity=draw_parity).points
-            self.v[m] = p[-1]
-            self.K[m] = turtle.turn_count(w, parity=parity)
-            self.H[m] = p[self.cuts(m)]
+            self.v[m] = drawn[self.L[m]]
+            self.K[m] = int(signs[: self.L[m]].sum(dtype=np.int64))
+            self.H[m] = drawn[self.cuts(m)]
             lw = words.l_word_bits(i, m)
             self.vl[m] = turtle.draw(lw, alpha, parity=draw_parity).points[-1]
             self.Kl[m] = turtle.turn_count(lw, parity=parity)
@@ -217,26 +217,20 @@ class _Skeleton:
 
 
 @dataclass(frozen=True)
-class CanonicalFrame:
-    """Placement of the limit: first vertex at origin, chord sqrt(2) long."""
-
-    chord_direction: float
-
-    def seeds(self) -> np.ndarray:
-        e = CHORD_LENGTH * np.array(
-            [math.cos(self.chord_direction), math.sin(self.chord_direction)]
-        )
-        return np.array([[0.0, 0.0], e])
-
-
-@dataclass(frozen=True)
 class IFS:
-    """Five similarity maps in the canonical frame."""
+    """Five similarity maps in the canonical frame, which seeds() fixes."""
 
     maps: tuple
     alpha: float
     parity: str  # "even" or "odd", the parity of the family index i
-    frame: CanonicalFrame
+    chord_direction: float
+
+    def seeds(self) -> np.ndarray:
+        """Chord endpoints: the origin and CHORD_LENGTH along chord_direction."""
+        e = CHORD_LENGTH * np.array(
+            [math.cos(self.chord_direction), math.sin(self.chord_direction)]
+        )
+        return np.array([[0.0, 0.0], e])
 
 
 def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
@@ -259,10 +253,11 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     turtle._check_alpha(alpha)
     ref, level = turtle.similar_order(i, 2), turtle.similar_order(i, 24)  # checks i
     draw_parity = parity if draw_parity is None else draw_parity
-    sk = _Skeleton(i, alpha, parity, draw_parity, level)
+    bits = words.word_concat(i, ref).bits()
+    drawn = turtle.draw(bits, alpha, parity=draw_parity).points
+    sk = _Skeleton(i, alpha, parity, draw_parity, level, bits, drawn)
 
     # validate the recursion against the drawn reference curve
-    drawn = turtle.draw(words.word_concat(i, ref), alpha, parity=draw_parity).points
     tol = 1e-6 * math.hypot(*np.ptp(drawn, axis=0))
     cuts = sk.cuts(ref)
     _, ref_parts = sk.part_hexagons(ref)
@@ -294,7 +289,7 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
         maps=tuple(maps),
         alpha=alpha,
         parity="even" if i % 2 == 0 else "odd",
-        frame=CanonicalFrame(chord_direction=direction),
+        chord_direction=direction,
     )
 
 
@@ -306,15 +301,14 @@ def attractor(ifs: IFS, depth: int) -> np.ndarray:
     in canonical depth-first order with duplicates kept.
     """
     depth = words._as_int(depth, "depth", 0)
-    pts = ifs.frame.seeds()
+    z = ifs.seeds().view(np.complex128).ravel()  # (re, im) rows as x + iy
     for _ in range(depth):
-        n = pts.shape[0]
-        z = pts[:, 0] + 1j * pts[:, 1]
+        n = z.size
         images = np.empty(len(ifs.maps) * n, dtype=np.complex128)
         for k, m in enumerate(ifs.maps):
             m._apply_complex(z, out=images[k * n:(k + 1) * n])
-        pts = images.view(np.float64).reshape(-1, 2)  # (re, im) rows
-    return pts
+        z = images
+    return z.view(np.float64).reshape(-1, 2)
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -353,7 +347,7 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
     1e-14 of the chord length of an old one; vertex positions are compared
     because round-off edges make the edge normals unreliable.
     """
-    hull = ifs.frame.seeds()
+    hull = ifs.seeds()
     for _ in range(200):
         grown = _convex_hull(np.vstack([hull] + [m.apply(hull) for m in ifs.maps]))
         diff = grown[:, None, :] - hull[None, :, :]
@@ -401,7 +395,7 @@ def verify_osc(ifs: IFS) -> OSCReport:
     V = _attractor_hull(ifs)
     # a two-vertex hull has width 0 across its own edge
     if _width(V) <= OSC_TOLERANCE:
-        s0, s1 = ifs.frame.seeds()
+        s0, s1 = ifs.seeds()
         mid, half = (s0 + s1) / 2.0, (s1 - s0) / 2.0
         perp = np.array([-half[1], half[0]])
         V = np.array([s0, mid - perp, s1, mid + perp])
@@ -451,12 +445,15 @@ def to_json(ifs: IFS) -> str:
         )
     return (
         '{"alpha": %s, "parity": "%s", "chord_direction": %s, "maps": [%s]}'
-        % (_fmt(ifs.alpha), ifs.parity, _fmt(ifs.frame.chord_direction),
+        % (_fmt(ifs.alpha), ifs.parity, _fmt(ifs.chord_direction),
            ", ".join(map_items))
     )
 
 
 def _finite(v) -> float:
+    # a JSON number parses to an int or a float; bool is an int subclass
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError("expected a number, got %r" % (v,))
     v = float(v)
     if not math.isfinite(v):
         raise ValueError("non-finite number %r" % (v,))
@@ -478,8 +475,8 @@ def from_json(text: str) -> IFS:
     """Rebuild an IFS from its JSON serialization.
 
     Malformed input raises DomainError: a missing key or a wrong type, a
-    parity other than "even" or "odd", a non-finite number, a scale that is
-    not positive, or other than five maps.
+    parity other than "even" or "odd", a non-finite number, an alpha outside
+    [0, pi/2], a scale that is not positive, or other than five maps.
     """
     try:
         data = json.loads(text)
@@ -489,11 +486,13 @@ def from_json(text: str) -> IFS:
         maps = tuple(_map_from_json(m) for m in data["maps"])
         if len(maps) != 5:
             raise ValueError("an IFS needs exactly five maps, got %d" % len(maps))
+        alpha = _finite(data["alpha"])
+        turtle._check_alpha(alpha)
         return IFS(
             maps=maps,
-            alpha=_finite(data["alpha"]),
+            alpha=alpha,
             parity=data["parity"],
-            frame=CanonicalFrame(chord_direction=_finite(data["chord_direction"])),
+            chord_direction=_finite(data["chord_direction"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError("malformed IFS JSON: %s" % (exc,)) from None

@@ -91,14 +91,15 @@ def hausdorff_distance(a, b) -> float:
 def _box_count_offset(rel: np.ndarray, eps: float, frac: float) -> int:
     """Occupied cells for points already anchored at their bounding-box corner.
 
-    rel >= 0 and frac < 1 keep every grid index >= 0, so the row index needs
-    no shift.  A grid of at most 8 cells per point is counted by marking
-    cells, a larger one by sorting the cell keys.
+    rel is (2, N): a contiguous row of x and one of y.  rel >= 0 and
+    frac < 1 keep every grid index >= 0, so the row index needs no shift.  A
+    grid of at most 8 cells per point is counted by marking cells, a larger
+    one by sorting the cell keys.
     """
-    cells = np.floor((rel + frac * eps) / eps).astype(np.int64)
-    span = int(cells[:, 1].max()) + 1
-    key = cells[:, 0] * span + cells[:, 1]
-    size = (int(cells[:, 0].max()) + 1) * span
+    cx, cy = np.floor((rel + frac * eps) / eps).astype(np.int64)
+    span = int(cy.max()) + 1
+    key = cx * span + cy
+    size = (int(cx.max()) + 1) * span
     if size > _OCCUPANCY_CELLS_PER_POINT * key.size:
         return int(np.unique(key).size)
     occupied = np.zeros(size, dtype=bool)
@@ -137,7 +138,7 @@ def box_counting_dimension(pts, eps_max: float, eps_min: float,
             and (math.floor(top[0]) + 1) * (math.floor(top[1]) + 1) < 2**62):
         raise DomainError("eps_min = %r gives 2^62 grid cells or more" % (eps_min,))
     scales = np.geomspace(eps_max, eps_min, levels)
-    rel = pts - lo
+    rel = np.ascontiguousarray((pts - lo).T)
     counts = [
         np.mean([_box_count_offset(rel, float(eps), f) for f in (0.0, 0.25, 0.5, 0.75)])
         for eps in scales

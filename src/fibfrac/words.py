@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, OrderOverflowError, StructureError
 
 _INT64_MAX = 2**63 - 1
 
@@ -52,8 +52,8 @@ def _part_offsets(length, n: int) -> list:
 def fib_length(i: int, n: int) -> int:
     """Length of f_n^[i] via L(1) = 1, L(2) = i, L(n) = L(n-1) + L(n-2).
 
-    Raises OverflowError once the length no longer fits in a signed 64-bit
-    integer, rather than wrapping around.
+    Raises OrderOverflowError, both a DomainError and an OverflowError, once
+    the length no longer fits in a signed 64-bit integer.
     """
     _check_index(i, n)
     a, b = 1, int(i)
@@ -61,7 +61,7 @@ def fib_length(i: int, n: int) -> int:
         a, b = b, a + b
     length = a if n == 1 else b
     if length > _INT64_MAX:
-        raise OverflowError("|f_%d^[%d]| = %d exceeds int64" % (n, i, length))
+        raise OrderOverflowError("|f_%d^[%d]| = %d exceeds int64" % (n, i, length))
     return length
 
 

@@ -198,7 +198,7 @@ def test_10_open_set_condition():
     m = system.maps
     broken = ifsmod.IFS(maps=(m[0], m[0], m[2], m[3], m[4]),
                         alpha=system.alpha, parity=system.parity,
-                        frame=system.frame)
+                        chord_direction=system.chord_direction)
     assert not ifsmod.verify_osc(broken).pairwise_disjoint
 
 
@@ -229,7 +229,7 @@ def test_12_attractor_continuity_in_alpha():
     for alpha in (0.05, 0.02, 0.01):
         system = ifsmod.derive_ifs(2, alpha)
         pts = ifsmod.attractor(system, depth=7)
-        s0, s1 = system.frame.seeds()
+        s0, s1 = system.seeds()
         t = np.linspace(0.0, 1.0, 20001)[:, None]
         segment = s0 + t * (s1 - s0)
         seg_dists.append(metrics.hausdorff_distance(pts, segment))

@@ -80,6 +80,39 @@ def test_word_usage_errors(capsysbinary):
     assert b"error" in err
 
 
+# about 10^12 symbols at the shortest order each command draws
+HUGE_I = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ifs", "--i", HUGE_I],
+    ["attractor", "--i", HUGE_I, "--depth", "1"],
+    ["verify", "--level", "curves", "--i", HUGE_I],
+    ["verify", "--level", "ifs", "--i", HUGE_I],
+    ["verify", "--i", HUGE_I],
+    ["verify", "--level", "words", "--negative-control", "--i", HUGE_I],
+    ["verify", "--i", "2000"],  # f_29 has 635,818,418 segments
+    ["sweep", "--i", HUGE_I, "--out", "{dir}"],
+    ["sweep", "--i", HUGE_I, "--what", "attractor", "--out", "{dir}"],
+    ["dim", "--grid", "10000000000000"],
+    ["sweep", "--grid", str(cli.MAX_GRID + 1), "--what", "dim", "--out", "{dir}"],
+], ids=["ifs", "attractor", "verify-curves", "verify-ifs", "verify-full",
+        "verify-negative-control", "verify-full-i-2000", "sweep", "sweep-attractor",
+        "dim-grid", "sweep-grid"])
+def test_oversized_work_is_a_usage_error(argv, tmp_path):
+    # sized before any work starts, so nothing is allocated or written
+    out = tmp_path / "sweep"
+    assert run([str(out) if a == "{dir}" else a for a in argv]) == 2
+    assert not out.exists()
+
+
+def test_checks_independent_of_i_run_at_any_i(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--level", "words", "--i", HUGE_I, "--out", str(out)]) == 0
+    assert run(["sweep", "--i", HUGE_I, "--what", "dim", "--out",
+                str(tmp_path / "s")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # curve
 
@@ -587,8 +620,14 @@ def test_points_csv_rejects_other_shapes(shape):
         cli.points_csv(np.zeros(shape))
 
 
+# the viewBox spans the points' spread plus a margin, which overflows for
+# points near the largest float
+_svg_float = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if abs(v) <= 1e300]),
+                       st.floats(-1e300, 1e300))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_rows_with_runs(st.tuples(_finite_float, _finite_float)).filter(len))
+@given(_rows_with_runs(st.tuples(_svg_float, _svg_float)).filter(len))
 def test_svg_path_matches_per_point_join(pts):
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
 
@@ -599,7 +638,8 @@ def test_svg_path_matches_per_point_join(pts):
     np.zeros((0, 2)),
     np.zeros(4),
     np.zeros((3, 3)),
-], ids=["nan", "inf", "empty", "1-d", "3-columns"])
+    np.array([[-1e308, 0.0], [1e308, 0.0]]),
+], ids=["nan", "inf", "empty", "1-d", "3-columns", "overflowing-viewbox"])
 def test_svg_rejects_bad_points(pts):
     with pytest.raises(DomainError):
         cli.polyline_svg(pts)
@@ -623,7 +663,8 @@ def test_bad_drawn_points_exit_2(argv, points, tmp_path):
 @pytest.mark.parametrize("n", [1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
                                2 * cli.CSV_BLOCK_ROWS + 3])
 def test_svg_path_block_sizes(n):
-    pts = _block_case(n, seed=2)
+    # bounded as _svg_float is, so the viewBox stays finite
+    pts = np.clip(_block_case(n, seed=2), -1e300, 1e300)
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fibfrac import ifs as ifsmod
+from fibfrac import turtle, words
 from fibfrac.errors import (
     DegenerateLandmarksError,
     DomainError,
@@ -112,7 +113,7 @@ def test_fit_rejects_non_finite_landmarks(bad, side, allow_collinear):
 def test_right_angle_map_table():
     system = ifsmod.derive_ifs(2, PI2)
     assert system.parity == "even"
-    assert system.frame.chord_direction == pytest.approx(math.pi / 8, abs=1e-12)
+    assert system.chord_direction == pytest.approx(math.pi / 8, abs=1e-12)
     scales = [m.scale for m in system.maps]
     assert scales == pytest.approx(
         [R_RIGHT, R_RIGHT, R_RIGHT**2, R_RIGHT, R_RIGHT], rel=1e-12
@@ -126,15 +127,14 @@ def test_right_angle_map_table():
     assert [m.reflect for m in system.maps] == [True, True, False, True, True]
     # the first map fixes the origin, the last fixes the far chord end
     assert system.maps[0].translation == pytest.approx((0.0, 0.0), abs=1e-12)
-    end = system.frame.seeds()[1]
+    end = system.seeds()[1]
     assert system.maps[4].apply(end[None, :])[0] == pytest.approx(end, abs=1e-12)
 
 
 def test_odd_family_chord_direction():
     system = ifsmod.derive_ifs(3, PI2)
     assert system.parity == "odd"
-    assert system.frame.chord_direction == pytest.approx(3 * math.pi / 8,
-                                                         abs=1e-12)
+    assert system.chord_direction == pytest.approx(3 * math.pi / 8, abs=1e-12)
     scales = [m.scale for m in system.maps]
     assert scales == pytest.approx(
         [R_RIGHT, R_RIGHT, R_RIGHT**2, R_RIGHT, R_RIGHT], rel=1e-12
@@ -165,6 +165,18 @@ def test_derived_ifs_digest():
     )
 
 
+@pytest.mark.parametrize("parity", ["even-left", "odd-left"])
+@pytest.mark.parametrize("i", [2, 3, 4, 5])
+def test_seed_drawings_are_prefixes_of_the_reference_drawing(i, parity):
+    # derive_ifs reads the seeds of f_7 .. f_12 off its one reference drawing
+    ref_word = words.word_concat(i, turtle.similar_order(i, 2))
+    for alpha in (0.0, 1e-3, math.pi / 6, math.pi / 3, PI2):
+        ref = turtle.draw(ref_word, alpha, parity=parity).points
+        for m in range(7, 13):
+            p = turtle.draw(words.word_concat(i, m), alpha, parity=parity).points
+            assert p.tobytes() == ref[:p.shape[0]].tobytes(), (alpha, m)
+
+
 def test_parity_mismatch_detected():
     # the negative control: drawing with the other turn parity moves the
     # curve by more than the 1e-6 * diameter tolerance from alpha ~ 1e-5 up
@@ -192,7 +204,7 @@ def test_derive_argument_validation():
 def test_attractor_counts():
     system = ifsmod.derive_ifs(2, PI2)
     assert np.array_equal(ifsmod.attractor(system, depth=0),
-                          system.frame.seeds())
+                          system.seeds())
     for d in range(4):
         assert ifsmod.attractor(system, depth=d).shape == (2 * 5**d, 2)
 
@@ -277,7 +289,7 @@ def test_osc_negative_control_duplicate_map(i, alpha):
     m = system.maps
     broken = ifsmod.IFS(maps=(m[0], m[0], m[2], m[3], m[4]),
                         alpha=system.alpha, parity=system.parity,
-                        frame=system.frame)
+                        chord_direction=system.chord_direction)
     report = ifsmod.verify_osc(broken)
     assert not report.pairwise_disjoint
     assert report.margin <= 0.0
@@ -288,7 +300,7 @@ def test_json_round_trip_exact():
     back = ifsmod.from_json(ifsmod.to_json(system))
     assert back.alpha == system.alpha
     assert back.parity == system.parity
-    assert back.frame.chord_direction == system.frame.chord_direction
+    assert back.chord_direction == system.chord_direction
     assert back.maps == system.maps
 
 
@@ -318,9 +330,14 @@ def _set_map(k, **fields):
     _set_map(1, scale=math.inf),
     _set_map(2, tx=math.nan),
     _set_map(2, reflect="false"),
+    _set_map(1, scale="0.4"),
+    lambda doc: doc.update(alpha=True),
+    lambda doc: doc.update(alpha=5.0),
+    _set_map(3, ty=10**400),
 ], ids=["no-alpha", "no-tx", "parity", "nan-alpha", "inf-direction", "four-maps",
         "maps-number", "negative-scale", "zero-scale", "inf-scale", "nan-tx",
-        "reflect-string"])
+        "reflect-string", "scale-string", "alpha-bool", "alpha-out-of-domain",
+        "huge-int-ty"])
 def test_from_json_rejects_malformed_input(change):
     doc = json.loads(ifsmod.to_json(ifsmod.derive_ifs(2, PI2)))
     change(doc)

@@ -190,9 +190,9 @@ def test_hausdorff_metric_property(a, b, c):
 
 def test_box_count_hand_values():
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert metrics._box_count_offset(corners, 0.6, 0.0) == 4
-    assert metrics._box_count_offset(corners, 1.1, 0.0) == 1
-    assert metrics._box_count_offset(corners, 0.4, 0.0) == 4
+    assert metrics._box_count_offset(corners.T, 0.6, 0.0) == 4
+    assert metrics._box_count_offset(corners.T, 1.1, 0.0) == 1
+    assert metrics._box_count_offset(corners.T, 0.4, 0.0) == 4
 
 
 def unique_box_count(rel, eps, frac):
@@ -216,7 +216,7 @@ def test_occupancy_count_equals_unique_count(n, sparse, frac, seed, extra):
     want, cells = unique_box_count(rel, eps, frac)
     size = (cells[:, 0].max() + 1) * (cells[:, 1].max() + 1)
     assert (size > 8 * rel.shape[0]) == sparse
-    assert metrics._box_count_offset(rel, eps, frac) == want
+    assert metrics._box_count_offset(rel.T, eps, frac) == want
 
 
 def test_repeated_points_leave_the_dimension_unchanged():
@@ -284,7 +284,7 @@ def test_box_count_grid_too_large_for_int64_keys_rejected():
                                        eps_max=2.0, eps_min=1.0, levels=5)
     # just under 2^62 cells every level counts the 3 distinct cells
     near = np.array([[0, 0], [2**31 - 1, 0], [0, 2**30]], float)
-    assert metrics._box_count_offset(near, 1.0, 0.75) == 3
+    assert metrics._box_count_offset(near.T, 1.0, 0.75) == 3
     got = metrics.box_counting_dimension(near, eps_max=2.0, eps_min=1.0, levels=5)
     assert abs(got.boxcount_s) < 1e-12
 

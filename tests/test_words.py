@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibfrac import ifs, metrics, turtle, words
-from fibfrac.errors import DomainError
+from fibfrac.errors import DomainError, FibfracError
 
 # first five words of the i = 2 and i = 3 families, written out by hand
 # from f_1 = 0, f_2 = 0^(i-1) 1, f_n = f_(n-1) f_(n-2)
@@ -48,8 +48,15 @@ def test_fib_length_recurrence():
 
 
 def test_fib_length_overflow_guard():
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError) as info:
         words.fib_length(2, 200)
+    assert isinstance(info.value, FibfracError)
+    # every builder sizes its word through fib_length first
+    for build in (lambda: words.word_concat(2, 100), lambda: words.five_partite(2, 100),
+                  lambda: words.l_word_bits(2, 100),
+                  lambda: turtle.endpoints_on_box(2, 95)):
+        with pytest.raises(FibfracError):
+            build()
 
 
 @pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
