@@ -48,6 +48,9 @@ BBOX_COLOR = "#e01b24"
 MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
+# word cap: on a 2-core Linux box `word --i 2 --n 40` (f_40^[2], 165M
+# symbols) peaked at 231 MB RSS writing binary and at 350 MB writing text,
+# which holds each symbol twice: in the word and in the output
 MAX_WORD_CHARS = 200_000_000
 # alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 92 MB
 # RSS writing CSV and at 216 MB writing JSON, which holds every row as
@@ -429,12 +432,8 @@ def _checks_words(args) -> list:
            if words.word_concat(i, n).text() != s]
     out.append(_check("words.small_words_exact", not bad,
                       "i in {2,3}, n in 1..5" + (": mismatches %r" % bad if bad else "")))
-    ok = True
-    for i in (2, 3, 4):
-        for n in range(1, 19):
-            a = words.word_concat(i, n)
-            b = words.word_by_substitution(i, n)
-            ok = ok and np.array_equal(a.bits(), b.bits())
+    ok = all(words.word_concat(i, n) == words.word_by_substitution(i, n)
+             for i in (2, 3, 4) for n in range(1, 19))
     out.append(_check("words.substitution_matches_concat", ok,
                       "i in {2,3,4}, n <= 18"))
     # five_partite raises unless every part equals its own freshly built word

@@ -11,6 +11,7 @@ where the junction hexagons are similar to machine precision.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -138,20 +139,15 @@ class _Skeleton:
     def __init__(self, i, alpha, parity, draw_parity, m_max, bits, drawn):
         self.alpha = alpha
         self.sgn = 1 if parity == "even-left" else -1
-        # exact arbitrary-precision lengths: only offset parities are needed,
-        # and materializable-word limits do not apply to bookkeeping
-        self.L = {1: 1, 2: i}
-        for m in range(3, m_max + 1):
-            self.L[m] = self.L[m - 1] + self.L[m - 2]
-        self.v = {}  # chord vector of the f_m drawing
+        # exact ints, past int64 too: only the parities of offsets are used
+        self.L = [0, *itertools.islice(words._length_terms(i), m_max)]
         self.vl = {}  # chord vector of the l_m drawing
         self.K = {}  # net turn count of f_m
         self.Kl = {}
-        self.H = {}  # six-point junction hexagons of f_m
+        self.H = {}  # six-point junction hexagons of f_m; H[m][-1] is its chord
         # step 13 reads orders 10 and 7, the lowest any step reads
         signs = turtle._turn_signs(bits[: self.L[12]], parity)
         for m in range(7, 13):
-            self.v[m] = drawn[self.L[m]]
             self.K[m] = int(signs[: self.L[m]].sum(dtype=np.int64))
             self.H[m] = drawn[self.cuts(m)]
             lw = words.l_word_bits(i, m)
@@ -162,7 +158,7 @@ class _Skeleton:
 
     def cuts(self, m):
         """Symbol offsets of f_m's five part starts and its end, exact ints."""
-        return words._part_offsets(self.L.__getitem__, m)
+        return words._part_offsets(self.L, m)
 
     def _walk(self, m):
         """Part frames, the six junctions and the net turn of f_m's assembly."""
@@ -172,7 +168,7 @@ class _Skeleton:
         for start, (back, is_l) in zip(self.cuts(m), words._PARTS):
             sub = m - back
             flip = start % 2 == 1
-            vsub = self.vl[sub] if is_l else self.v[sub]
+            vsub = self.vl[sub] if is_l else self.H[sub][-1]
             ksub = self.Kl[sub] if is_l else self.K[sub]
             frames.append(_rot(turn * self.alpha) @ (_MIRROR if flip else np.eye(2)))
             junctions.append(junctions[-1] + frames[-1] @ vsub)
@@ -182,7 +178,6 @@ class _Skeleton:
     def _step(self, m):
         a = self.alpha
         _, junctions, turn = self._walk(m)
-        self.v[m] = junctions[-1]
         self.K[m] = turn
         self.H[m] = np.array(junctions)
         # l_m differs from f_m only in its last two symbols, so rebuild the
@@ -202,7 +197,7 @@ class _Skeleton:
 
         # -seg(kpre) + seg(kpre) cancels only in exact arithmetic; the
         # derived maps, and the digests recorded of them, keep its rounding
-        self.vl[m] = self.v[m] - seg(last_f) - seg(kpre) + seg(kpre) + seg(last_l)
+        self.vl[m] = self.H[m][-1] - seg(last_f) - seg(kpre) + seg(kpre) + seg(last_l)
 
     def part_hexagons(self, m):
         """Whole-curve hexagon and the five parts' own junction hexagons."""
@@ -271,7 +266,8 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
 
     # fit the maps at the converged order in the canonical frame
     hexagon, parts = sk.part_hexagons(level)
-    scale = CHORD_LENGTH / math.hypot(*sk.v[level])
+    chord = sk.H[level][-1]
+    scale = CHORD_LENGTH / math.hypot(*chord)
     src = hexagon * scale
     src_diam = math.hypot(*np.ptp(src, axis=0))
     maps = []
@@ -283,7 +279,6 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
                 % (k + 1, rms, src_diam)
             )
         maps.append(sim)
-    chord = sk.v[level]
     direction = math.atan2(chord[1], chord[0])
     return IFS(
         maps=tuple(maps),

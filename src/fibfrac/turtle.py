@@ -304,7 +304,7 @@ def boxes_disjoint(boxes) -> BoxReport:
 
 def similar_order(i: int, k: int) -> int:
     """6k + 5 for even i, 6k + 3 for odd i: the orders whose split is a similarity."""
-    words._check_index(i, 1)  # order 1 exists for every i, so this checks i
+    words._as_int(i, "family index i", 2)
     return 6 * words._as_int(k, "k", 0) + (5 if i % 2 == 0 else 3)
 
 

@@ -1,12 +1,13 @@
 """i-Fibonacci words: generation, substitution, and structural decompositions.
 
 The family is indexed by i >= 2 with f_1 = "0", f_2 = 0^(i-1) 1 and
-f_n = f_{n-1} f_{n-2}.  Symbols are stored bit-packed so that orders with
-tens of millions of symbols stay affordable.
+f_n = f_{n-1} f_{n-2}.  Every f_m is a prefix of f_n, so words are built in
+place from their own prefixes, one uint8 symbol per byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import struct
 from collections import namedtuple
@@ -36,75 +37,76 @@ def _as_int(value, name: str, least: int) -> int:
     return number
 
 
-def _check_index(i: int, n: int) -> None:
+def _length_terms(i: int):
+    """|f_1|, |f_2|, ... as exact ints without end, by L(m) = L(m-1) + L(m-2)."""
+    a, b = 1, int(i)
+    while True:
+        yield a
+        a, b = b, a + b
+
+
+def _lengths(i: int, n: int) -> list:
+    """[0, |f_1|, ..., |f_n|]; OrderOverflowError at the first term past int64."""
     _as_int(i, "family index i", 2)
     _as_int(n, "order n", 1)
+    table = [0]
+    for length in itertools.islice(_length_terms(i), n):  # ends by order 93
+        if length > _INT64_MAX:
+            raise OrderOverflowError("|f_%d^[%d]| exceeds int64" % (n, i))
+        table.append(length)
+    return table
 
 
-def _part_offsets(length, n: int) -> list:
-    """Symbol offsets of f_n's five part starts and its end; length(m) = |f_m|."""
-    offsets = [0]
-    for back, _ in _PARTS:
-        offsets.append(offsets[-1] + length(n - back))
-    return offsets
+def _part_offsets(lengths: list, n: int) -> list:
+    """Symbol offsets of f_n's five part starts and its end; lengths from _lengths."""
+    return list(itertools.accumulate((lengths[n - b] for b, _ in _PARTS), initial=0))
 
 
 def fib_length(i: int, n: int) -> int:
-    """Length of f_n^[i] via L(1) = 1, L(2) = i, L(n) = L(n-1) + L(n-2).
-
-    Raises OrderOverflowError, both a DomainError and an OverflowError, once
-    the length no longer fits in a signed 64-bit integer.
-    """
-    _check_index(i, n)
-    a, b = 1, int(i)
-    for _ in range(n - 2):
-        a, b = b, a + b
-    length = a if n == 1 else b
-    if length > _INT64_MAX:
-        raise OrderOverflowError("|f_%d^[%d]| = %d exceeds int64" % (n, i, length))
-    return length
+    """Length of f_n^[i]; raises OrderOverflowError, both a DomainError and an
+    OverflowError, once it no longer fits in a signed 64-bit integer."""
+    return _lengths(i, n)[n]
 
 
 @dataclass(frozen=True, eq=False)
 class Word:
-    """A finite binary word, stored bit-packed LSB-first with zero padding.
+    """A finite binary word: a read-only uint8 array of 0s and 1s.
 
-    Equality compares symbol content only, so words built by different
-    routes compare equal when they spell the same string.
+    The constructor takes the array over, marks it read-only and scans no
+    value: the type vouches for its symbols, so as_bits hands them on
+    unchecked.  Equality compares symbol content, so words built by
+    different routes compare equal when they spell the same string.
     """
 
-    packed: np.ndarray
-    length: int
+    symbols: np.ndarray
+
+    def __post_init__(self):
+        if getattr(self.symbols, "dtype", None) != np.uint8 or self.symbols.ndim != 1:
+            raise DomainError("Word takes a 1-D uint8 array; as_bits converts the rest")
+        self.symbols.flags.writeable = False
 
     def bits(self) -> np.ndarray:
-        """Symbols as a fresh uint8 array of 0s and 1s."""
-        return np.unpackbits(self.packed, count=self.length, bitorder="little")
+        """Symbols as the word's own read-only uint8 array."""
+        return self.symbols
 
     def text(self) -> str:
         """Symbols as a '0'/'1' string (no trailing newline)."""
-        return (self.bits() + np.uint8(ord("0"))).tobytes().decode("ascii")
+        return to_text(self)[:-1].decode("ascii")
 
     def __len__(self) -> int:
-        return self.length
+        return self.symbols.size
 
     def __eq__(self, other):
         if isinstance(other, Word):
-            return self.length == other.length and np.array_equal(
-                self.packed, other.packed
-            )
+            return np.array_equal(self.symbols, other.symbols)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.length, self.packed.tobytes()))
+        return hash(self.symbols.tobytes())
 
     def __repr__(self):
-        head = self.text() if self.length <= 40 else self.text()[:37] + "..."
-        return "Word(%r, length=%d)" % (head, self.length)
-
-
-def _word_from_bits(bits: np.ndarray) -> Word:
-    packed = np.packbits(bits, bitorder="little")
-    return Word(packed=packed, length=int(bits.size))
+        head = self.text() if len(self) <= 40 else self.text()[:37] + "..."
+        return "Word(%r, length=%d)" % (head, len(self))
 
 
 def as_bits(w) -> np.ndarray:
@@ -132,16 +134,15 @@ def as_bits(w) -> np.ndarray:
 
 
 def word_concat(i: int, n: int) -> Word:
-    """Build f_n^[i] bottom-up by the concatenation rule f_n = f_{n-1} f_{n-2}."""
-    fib_length(i, n)  # domain and overflow checks
-    a = np.zeros(1, dtype=np.uint8)
-    if n == 1:
-        return _word_from_bits(a)
-    b = np.zeros(i, dtype=np.uint8)
-    b[-1] = 1
-    for _ in range(n - 2):
-        a, b = b, np.concatenate((b, a))
-    return _word_from_bits(b)
+    """Build f_n^[i] in one array by the rule f_m = f_{m-1} f_{m-2}: f_{m-2} is
+    a prefix of f_{m-1}, so each step copies the array's own first symbols."""
+    lengths = _lengths(i, n)  # checks int64 overflow
+    bits = np.zeros(lengths[n], dtype=np.uint8)
+    if n >= 2:
+        bits[i - 1] = 1  # f_2 = 0^(i-1) 1
+    for m in range(3, n + 1):
+        bits[lengths[m - 1]:lengths[m]] = bits[:lengths[m - 2]]
+    return Word(bits)
 
 
 def word_by_substitution(i: int, n: int) -> Word:
@@ -162,10 +163,9 @@ def word_by_substitution(i: int, n: int) -> Word:
     bits = np.zeros(int(ends[-1]), dtype=np.uint8)
     bits[ends[tags == 1] - 1] = 1  # B1 ends in its only 1
     if bits.size != length:
-        raise StructureError(
-            "substitution gave %d symbols, expected %d" % (bits.size, length)
-        )
-    return _word_from_bits(bits)
+        raise StructureError("substitution gave %d symbols, expected %d"
+                             % (bits.size, length))
+    return Word(bits)
 
 
 def two_adic_distance(w, v) -> float:
@@ -185,7 +185,7 @@ def two_adic_distance(w, v) -> float:
 def l_word_bits(i: int, n: int) -> np.ndarray:
     """Symbols of l_n^[i]: f_n with its last two symbols swapped."""
     _as_int(n, "order n of an l-word", 2)
-    bits = word_concat(i, n).bits()
+    bits = word_concat(i, n).bits().copy()
     bits[-2], bits[-1] = bits[-1], bits[-2]
     return bits
 
@@ -214,18 +214,17 @@ def five_partite(i: int, n: int) -> FivePartite:
     The returned ranges are verified against independently generated parts;
     a mismatch raises StructureError.
     """
-    _check_index(i, n)
+    lengths = _lengths(i, n)
     if n < 7:
         raise DomainError("five-partite structure needs n >= 7, got n=%d" % n)
     w = word_concat(i, n)
-    cuts = _part_offsets(lambda m: fib_length(i, m), n)
+    cuts = _part_offsets(lengths, n)
     if cuts[-1] != len(w):
         raise StructureError("part lengths do not add up for (i=%d, n=%d)" % (i, n))
-    bits = w.bits()
     parts = tuple((cuts[k], cuts[k + 1]) for k in range(5))
     for (start, end), (back, is_l) in zip(parts, _PARTS):
         ref = l_word_bits(i, n - back) if is_l else word_concat(i, n - back).bits()
-        if not np.array_equal(bits[start:end], ref):
+        if not np.array_equal(w.bits()[start:end], ref):
             raise StructureError(
                 "part [%d:%d] of f_%d^[%d] does not match its expected word"
                 % (start, end, n, i)
@@ -260,21 +259,24 @@ def contains_11(w) -> bool:
     return bool(np.any(bits[1:] & bits[:-1]))
 
 
-def to_text(w: Word) -> bytes:
-    """Serialize to ASCII '0'/'1' with a trailing newline."""
-    return (w.bits() + np.uint8(ord("0"))).tobytes() + b"\n"
+def to_text(w: Word) -> bytearray:
+    """Serialize to ASCII '0'/'1' with a trailing newline, in one buffer."""
+    out = bytearray(len(w) + 1)
+    np.add(w.bits(), np.uint8(ord("0")), out=np.frombuffer(out, np.uint8)[:-1])
+    out[-1] = ord("\n")
+    return out
 
 
 def from_text(data: bytes) -> Word:
     """Parse the text serialization back into a Word."""
     body = data[:-1] if data.endswith(b"\n") else data
-    bits = as_bits(body)
-    return _word_from_bits(bits)
+    return Word(as_bits(body))
 
 
 def to_binary(w: Word) -> bytes:
     """Serialize to 8-byte little-endian length followed by LSB-first packed bits."""
-    return struct.pack("<Q", w.length) + w.packed.tobytes()
+    packed = np.packbits(w.bits(), bitorder="little")
+    return b"".join((struct.pack("<Q", len(w)), packed))  # no copy to bytes first
 
 
 def from_binary(data: bytes) -> Word:
@@ -288,9 +290,10 @@ def from_binary(data: bytes) -> Word:
             "expected %d packed bytes for %d symbols, got %d"
             % (nbytes, length, len(data) - 8)
         )
-    packed = np.frombuffer(data[8:], dtype=np.uint8)
-    # equality and hashing compare the packed bytes, padding included
+    packed = np.frombuffer(data, dtype=np.uint8, offset=8)
+    # to_binary writes every padding bit as 0, so a set one means the data
+    # is corrupt or foreign, and to_binary would not give the same bytes back
     if length % 8 and packed[-1] >> (length % 8):
         raise DomainError("binary word has non-zero padding bits after symbol %d"
                           % (length,))
-    return Word(packed=packed.copy(), length=int(length))
+    return Word(np.unpackbits(packed, count=length, bitorder="little"))

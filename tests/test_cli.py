@@ -96,9 +96,10 @@ HUGE_I = "1000000000000"
     ["sweep", "--i", HUGE_I, "--what", "attractor", "--out", "{dir}"],
     ["dim", "--grid", "10000000000000"],
     ["sweep", "--grid", str(cli.MAX_GRID + 1), "--what", "dim", "--out", "{dir}"],
+    ["word", "--i", "2", "--n", "10000000"],
 ], ids=["ifs", "attractor", "verify-curves", "verify-ifs", "verify-full",
         "verify-negative-control", "verify-full-i-2000", "sweep", "sweep-attractor",
-        "dim-grid", "sweep-grid"])
+        "dim-grid", "sweep-grid", "word-n"])
 def test_oversized_work_is_a_usage_error(argv, tmp_path):
     # sized before any work starts, so nothing is allocated or written
     out = tmp_path / "sweep"

@@ -1,6 +1,7 @@
 """Word generation, decompositions, and serialization."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibfrac import ifs, metrics, turtle, words
-from fibfrac.errors import DomainError, FibfracError
+from fibfrac.errors import DomainError, FibfracError, OrderOverflowError
 
 # first five words of the i = 2 and i = 3 families, written out by hand
 # from f_1 = 0, f_2 = 0^(i-1) 1, f_n = f_(n-1) f_(n-2)
@@ -51,6 +52,10 @@ def test_fib_length_overflow_guard():
     with pytest.raises(OverflowError) as info:
         words.fib_length(2, 200)
     assert isinstance(info.value, FibfracError)
+    # the length table stops at the first term past int64, so a huge order
+    # fails at once instead of growing a table of n exact ints
+    with pytest.raises(OrderOverflowError):
+        words.fib_length(2, 10**9)
     # every builder sizes its word through fib_length first
     for build in (lambda: words.word_concat(2, 100), lambda: words.five_partite(2, 100),
                   lambda: words.l_word_bits(2, 100),
@@ -59,7 +64,7 @@ def test_fib_length_overflow_guard():
             build()
 
 
-@pytest.mark.parametrize("i", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("i", range(2, 10))
 def test_substitution_matches_concat(i):
     for n in range(1, 22):
         a = words.word_concat(i, n)
@@ -145,6 +150,54 @@ def test_five_partite_needs_n_at_least_7():
         words.five_partite(2, 6)
 
 
+def test_word_bits_are_one_read_only_array():
+    w = words.word_concat(2, 10)
+    bits = w.bits()
+    assert w.bits() is bits and words.as_bits(w) is bits
+    assert not bits.flags.writeable
+    with pytest.raises(ValueError):
+        bits[0] = 1
+
+
+@pytest.mark.parametrize("symbols", [
+    np.array([0, 1]), np.zeros((2, 2), np.uint8), [0, 1], b"01",
+], ids=["int64", "2-d", "list", "bytes"])
+def test_word_takes_only_a_flat_uint8_array(symbols):
+    # the type vouches for its symbols, so it accepts only what as_bits gives
+    with pytest.raises(DomainError):
+        words.Word(symbols)
+
+
+def test_l_word_bits_is_a_writable_copy():
+    w = words.word_concat(3, 9)
+    before = w.text()
+    lw = words.l_word_bits(3, 9)
+    assert lw.flags.writeable and not np.shares_memory(lw, w.bits())
+    lw[0] = 1
+    assert w.text() == before == words.word_concat(3, 9).text()
+
+
+def _traced_peak(call):
+    """(result, peak bytes tracemalloc saw above the start) of call()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_and_text_make_no_temporary_copies():
+    # f_30^[2] has 1.35M symbols; the only large allocations are the word
+    # itself and to_text's output
+    n = 30
+    w, peak = _traced_peak(lambda: words.word_concat(2, n))
+    assert peak <= words.fib_length(2, n) + 65536
+    data, peak = _traced_peak(lambda: words.to_text(w))
+    assert peak <= len(data) + 65536
+
+
 def test_l_word_swaps_last_two():
     for i in (2, 3):
         for n in range(3, 12):
@@ -225,8 +278,8 @@ def test_from_binary_rejects_padding_bits():
     w = words.word_concat(2, 6)  # 13 symbols: the last byte has 3 padding bits
     blob = bytearray(words.to_binary(w))
     blob[-1] |= 0x80
-    # the symbols are unchanged, but the padding would make the word compare
-    # unequal to w, hash differently and be written back out
+    # the symbols are unchanged, but to_binary writes padding bits as 0, so
+    # the data is corrupt and would not survive a round trip
     with pytest.raises(DomainError):
         words.from_binary(bytes(blob))
 
