@@ -29,11 +29,14 @@ import re
 import secrets
 import stat
 import sys
+import time
+from collections import namedtuple
 
 import numpy as np
 
 from . import analysis, ifs as ifsmod, metrics, turtle, words
-from .errors import DomainError, FibfracError, SelfSimilarityError
+from .errors import (DegenerateLandmarksError, DomainError, FibfracError,
+                     SelfSimilarityError, StructureError)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,7 +56,7 @@ MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 # which holds each symbol twice: in the word and in the output
 MAX_WORD_CHARS = 200_000_000
 # alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 92 MB
-# RSS writing CSV and at 216 MB writing JSON, which holds every row as
+# RSS writing CSV and at 201 MB writing JSON, which holds every row as
 # Python objects
 MAX_GRID = 100_000
 # rows per % call in points_csv.  Larger blocks are no faster, and their
@@ -136,10 +139,17 @@ def _deliver(data: bytes, out) -> None:
 
 def _json_bytes(obj) -> bytes:
     """Indented JSON and one newline, with each non-finite number as null."""
-    # JSON has no Infinity or NaN.  Floats print at shortest round-trip
-    # precision, so the parse gives back every finite one unchanged.
-    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    return (json.dumps(obj, indent=2) + "\n").encode("ascii")
+    # JSON has no Infinity or NaN.  They become None in obj's own dicts and
+    # lists, in place: every caller builds obj for this one write.
+    def null(o):
+        for key, v in (o.items() if isinstance(o, dict) else enumerate(o)):
+            if isinstance(v, (dict, list)):
+                null(v)
+            elif isinstance(v, float) and not math.isfinite(v):
+                o[key] = None
+
+    null(obj)
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("ascii")
 
 
 def points_csv(pts: np.ndarray) -> bytes:
@@ -248,8 +258,8 @@ def _longest_order(args):
             sub == "sweep" and ("ifs" in args.what or "attractor" in args.what)):
         return turtle.similar_order(args.i, 2)  # derive_ifs's reference curve
     if sub == "verify":
-        return max((_GROUP_ORDERS[g](args.i) for g in _verify_groups(args)
-                    if g in _GROUP_ORDERS), default=None)
+        return max((_GROUPS[g].order(args.i) for g in _verify_groups(args)
+                    if _GROUPS[g].order), default=None)
     return None
 
 
@@ -297,6 +307,7 @@ def _validate(args) -> None:
     if sub == "sweep":
         what = args.what.split(",") if args.what else ("dim", "ifs")
         args.what = tuple(tok.strip() for tok in what if tok.strip())
+        _require(args.what, "--what names no sweep output")
         for tok in args.what:
             _require(tok in ("dim", "ifs", "attractor"), "bad sweep output %r" % (tok,))
         _require(os.path.isdir(args.out) or not os.path.exists(args.out),
@@ -426,78 +437,62 @@ _SMALL_WORDS = {
 }
 
 
-def _checks_words(args) -> list:
-    out = []
+def _checks_words(args):
     bad = [(i, n) for (i, n), s in sorted(_SMALL_WORDS.items())
            if words.word_concat(i, n).text() != s]
-    out.append(_check("words.small_words_exact", not bad,
-                      "i in {2,3}, n in 1..5" + (": mismatches %r" % bad if bad else "")))
+    yield _check("words.small_words_exact", not bad,
+                 "i in {2,3}, n in 1..5" + (": mismatches %r" % bad if bad else ""))
     ok = all(words.word_concat(i, n) == words.word_by_substitution(i, n)
              for i in (2, 3, 4) for n in range(1, 19))
-    out.append(_check("words.substitution_matches_concat", ok,
-                      "i in {2,3,4}, n <= 18"))
+    yield _check("words.substitution_matches_concat", ok, "i in {2,3,4}, n <= 18")
     # five_partite raises unless every part equals its own freshly built word
     ok = not any(words.contains_11(words.five_partite(i, n).word)
                  for i in (2, 3) for n in range(7, 14))
-    out.append(_check("words.five_partite_reassembly", ok,
-                      "i in {2,3}, n in 7..13, includes the no-11 scan"))
+    yield _check("words.five_partite_reassembly", ok,
+                 "i in {2,3}, n in 7..13, includes the no-11 scan")
     ok = all(words.word_concat(i, n).text().endswith(words.last_two(n))
              for i in (2, 3) for n in range(2, 13))
-    out.append(_check("words.last_two_alternation", ok,
-                      "suffix 01 for even n, 10 for odd n"))
-    return out
+    yield _check("words.last_two_alternation", ok, "suffix 01 for even n, 10 for odd n")
 
 
-def _width_ratio_order(i: int) -> int:
-    # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
-    # i = 3, pi/2); two more orders bring it within 2e-6
-    return 22 if i % 2 == 0 else 24
-
-
-def _checks_curves(args) -> list:
-    out = []
+def _checks_curves(args):
     w12 = words.word_concat(args.i, 12)
     p = turtle.draw(w12, args.alpha, parity=args.parity)
     ok = p.points.shape[0] == words.fib_length(args.i, 12) + 1
-    out.append(_check("curves.vertex_count", ok,
-                      "n = 12 drawn at the requested alpha"))
+    yield _check("curves.vertex_count", ok, "n = 12 drawn at the requested alpha")
 
     st = turtle.curve_stats(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     err = max(abs(st.w - math.sqrt(2.0)), abs(st.h - math.sqrt(0.5)),
               abs(st.aspect - 2.0))
-    out.append(_tol_check("curves.stats_reference_triangle", err, 1e-12))
+    yield _tol_check("curves.stats_reference_triangle", err, 1e-12)
 
     # draw sets final_heading to pi/2 + alpha * turn_count, so only the
     # count can disagree with the one taken straight from the word
     ok = p.turn_count == turtle.turn_count(w12, parity=args.parity)
-    out.append(_check("curves.heading_bookkeeping", ok,
-                      "final heading is pi/2 + k*alpha with integer k"))
+    yield _check("curves.heading_bookkeeping", ok,
+                 "final heading is pi/2 + k*alpha with integer k")
 
-    n_hi = _width_ratio_order(args.i)
-    ws = {}
-    for n in (n_hi - 3, n_hi):
-        st_n = turtle.curve_stats(
-            turtle.draw(words.word_concat(args.i, n), args.alpha, parity=args.parity))
-        ws[n] = st_n.w
+    n_hi = _GROUPS["curves"].order(args.i)
+    w_lo, w_hi = (turtle.curve_stats(turtle.draw(
+        words.word_concat(args.i, n), args.alpha, parity=args.parity)).w
+        for n in (n_hi - 3, n_hi))
     r_plus, _ = analysis.characteristic_roots(args.alpha)
-    err = abs(ws[n_hi] / ws[n_hi - 3] - r_plus)
-    out.append(_tol_check("curves.width_ratio_limit", err, 1e-3,
-                          "w_%d / w_%d against r_plus" % (n_hi, n_hi - 3)))
+    err = abs(w_hi / w_lo - r_plus)
+    yield _tol_check("curves.width_ratio_limit", err, 1e-3,
+                     "w_%d / w_%d against r_plus" % (n_hi, n_hi - 3))
 
     n_box = turtle.similar_order(args.i, 2)
     if args.i % 2 == 0:
         _, boxes = turtle.subcurves(args.i, n_box, math.pi / 2, parity=args.parity)
         rep = turtle.boxes_disjoint(boxes)
-        out.append(_check("curves.part_boxes_disjoint", rep.disjoint,
-                          "five-partite boxes at pi/2, n = %d" % (n_box,)))
+        yield _check("curves.part_boxes_disjoint", rep.disjoint,
+                     "five-partite boxes at pi/2, n = %d" % (n_box,))
     ok = turtle.endpoints_on_box(args.i, n_box, parity=args.parity)
-    out.append(_check("curves.endpoints_on_box", ok,
-                      "axis-aligned box at pi/2, n = %d" % (n_box,)))
-    return out
+    yield _check("curves.endpoints_on_box", ok,
+                 "axis-aligned box at pi/2, n = %d" % (n_box,))
 
 
-def _checks_ifs(args) -> list:
-    out = []
+def _checks_ifs(args):
     draw_parity = args.parity
     if args.negative_control:
         draw_parity = turtle.PARITIES[1 - turtle.PARITIES.index(args.parity)]
@@ -505,61 +500,54 @@ def _checks_ifs(args) -> list:
         F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity,
                               draw_parity=draw_parity)
     except SelfSimilarityError as exc:
-        out.append(_check("ifs.similarity_fit", False, str(exc)))
-        return out
-    out.append(_check("ifs.similarity_fit", True,
-                      "five-map fit at the converged level"))
+        yield _check("ifs.similarity_fit", False, str(exc))
+        return
+    yield _check("ifs.similarity_fit", True, "five-map fit at the converged level")
 
     R = analysis.scaling_ratio(args.alpha)
     want = (R, R, R ** 2, R, R)
     err = max(abs(m.scale - s) for m, s in zip(F.maps, want))
-    out.append(_tol_check("ifs.scale_spectrum", err, 1e-6,
-                          "scales against (R, R, R^2, R, R)"))
+    yield _tol_check("ifs.scale_spectrum", err, 1e-6,
+                     "scales against (R, R, R^2, R, R)")
 
     tol = ifsmod.OSC_TOLERANCE
     err = tol - ifsmod.verify_osc(F).margin
-    out.append(_tol_check("ifs.open_set_condition", err, tol,
-                          "hull image overlap or excess %.3g against %.3g"
-                          % (err, tol)))
+    yield _tol_check("ifs.open_set_condition", err, tol,
+                     "hull image overlap or excess %.3g against %.3g" % (err, tol))
 
     # the paper's claim: the normalized curves tend to the maps' attractor
-    n = turtle.similar_order(args.i, 3)
+    n = _GROUPS["ifs"].order(args.i)
     curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=7)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     err = metrics.hausdorff_distance(curve, pts)
-    out.append(_tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
-                          "normalized f_%d against the depth-7 attractor" % (n,)))
+    yield _tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
+                     "normalized f_%d against the depth-7 attractor" % (n,))
 
     # dataclass equality compares the maps, alpha, parity and chord direction
     ok = ifsmod.from_json(ifsmod.to_json(F)) == F
-    out.append(_check("ifs.json_round_trip", ok,
-                      "17 significant digits survive the round trip"))
-    return out
+    yield _check("ifs.json_round_trip", ok,
+                 "17 significant digits survive the round trip")
 
 
-def _checks_dim(args) -> list:
-    out = []
+def _checks_dim(args):
     grid = np.linspace(0.0, math.pi / 2, 200)
     svals = [analysis.hausdorff_dimension(a) for a in grid]
-    worst = 0.0
-    for a, s in zip(grid, svals):
-        R = analysis.scaling_ratio(a)
-        worst = max(worst, abs(4.0 * R ** s + R ** (2.0 * s) - 1.0))
-    out.append(_tol_check("dim.moran_residual", worst, 1e-12,
-                          "4R^s + R^2s = 1 on a 200-point grid"))
+    worst = max(abs(4.0 * R ** s + R ** (2.0 * s) - 1.0)
+                for R, s in zip(map(analysis.scaling_ratio, grid), svals))
+    yield _tol_check("dim.moran_residual", worst, 1e-12,
+                     "4R^s + R^2s = 1 on a 200-point grid")
 
     ok = analysis.hausdorff_dimension(0.0) == 1.0
-    out.append(_check("dim.endpoint_zero", ok, "s(0) = 1 exactly"))
+    yield _check("dim.endpoint_zero", ok, "s(0) = 1 exactly")
     err = abs(analysis.hausdorff_dimension(math.pi / 2) - 1.6379)
-    out.append(_tol_check("dim.endpoint_right", err, 1e-4, "s(pi/2) = 1.6379"))
+    yield _tol_check("dim.endpoint_right", err, 1e-4, "s(pi/2) = 1.6379")
 
     ok = all(b >= a for a, b in zip(svals, svals[1:]))
-    out.append(_check("dim.monotone", ok, "s nondecreasing on the grid"))
+    yield _check("dim.monotone", ok, "s nondecreasing on the grid")
 
     err = abs(analysis.aspect_limit(math.pi / 2) - math.sqrt(2.0))
-    out.append(_tol_check("dim.aspect_limit_right", err, 1e-12,
-                          "w/h limit sqrt(2) at pi/2"))
+    yield _tol_check("dim.aspect_limit_right", err, 1e-12, "w/h limit sqrt(2) at pi/2")
 
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -572,65 +560,75 @@ def _checks_dim(args) -> list:
         ba = metrics._brute_directed(b, a)
         worst = max(worst, abs(metrics.hausdorff_distance(a, b) - max(ab, ba)),
                     abs(metrics.directed_hausdorff(a, b) - ab))
-    out.append(_tol_check("dim.hausdorff_grid_vs_brute", worst, 1e-12,
-                          "20 random point-set pairs"))
-    return out
+    yield _tol_check("dim.hausdorff_grid_vs_brute", worst, 1e-12,
+                     "20 random point-set pairs")
 
 
-def _checks_full(args) -> list:
-    out = []
-    try:
-        F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
-    except SelfSimilarityError as exc:
-        out.append(_check("full.box_count_dimension", False, str(exc)))
-        return out
+def _checks_full(args):
+    F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=8)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     rep = metrics.box_counting_dimension(pts, eps_max=diam / 8.0,
                                          eps_min=diam / 512.0, levels=7)
     want = analysis.hausdorff_dimension(args.alpha)
     err = abs(rep.boxcount_s - want)
-    out.append(_tol_check("full.box_count_dimension", err, 0.1,
-                          "slope %.4f against s = %.4f, r2 = %.5f"
-                          % (rep.boxcount_s, want, rep.fit_r2)))
-    out.append(_tol_check("full.box_count_fit_quality", 1.0 - rep.fit_r2, 0.02,
-                          "log-log fit r2"))
+    yield _tol_check("full.box_count_dimension", err, 0.1,
+                     "slope %.4f against s = %.4f, r2 = %.5f"
+                     % (rep.boxcount_s, want, rep.fit_r2))
+    yield _tol_check("full.box_count_fit_quality", 1.0 - rep.fit_r2, 0.02,
+                     "log-log fit r2")
 
-    dists = metrics.convergence_report(args.i, args.alpha, (1, 2, 3))
+    dists = metrics.convergence_report(args.i, args.alpha, (1, 2, 3), args.parity)
     ok = all(b < a for a, b in zip(dists, dists[1:]))
-    out.append(_check("full.curve_convergence", ok,
-                      "successive normalized curves draw closer"))
-    return out
+    yield _check("full.curve_convergence", ok,
+                 "successive normalized curves draw closer")
 
 
-# cumulative check groups, in the order --level counts them
-_LEVELS = {"words": _checks_words, "curves": _checks_curves, "ifs": _checks_ifs,
-           "dim": _checks_dim, "full": _checks_full}
-# the order of the longest word a group draws; words and dim draw only fixed
+_Group = namedtuple("_Group", ["checks", "order"])
+# the check groups, in the order --level counts them, each with the order of
+# the longest word it draws at family i; words and dim draw only fixed
 # orders, whatever --i is
-_GROUP_ORDERS = {"curves": _width_ratio_order,
-                 "ifs": lambda i: turtle.similar_order(i, 3),
-                 "full": lambda i: turtle.similar_order(i, 4)}
+_GROUPS = {
+    "words": _Group(_checks_words, None),
+    # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
+    # i = 3, pi/2); two more orders bring it within 2e-6
+    "curves": _Group(_checks_curves, lambda i: 22 if i % 2 == 0 else 24),
+    "ifs": _Group(_checks_ifs, lambda i: turtle.similar_order(i, 3)),
+    "dim": _Group(_checks_dim, None),
+    # convergence_report's third pair of curves ends at n(4)
+    "full": _Group(_checks_full, lambda i: turtle.similar_order(i, 4)),
+}
 
 
 def _verify_groups(args) -> list:
     """Names of the check groups a verify run selects, in run order."""
-    last = list(_LEVELS).index(args.level)
+    last = list(_GROUPS).index(args.level)
     # the negative control is an ifs check, so it runs at every level
-    return [name for k, name in enumerate(_LEVELS)
+    return [name for k, name in enumerate(_GROUPS)
             if k <= last or (name == "ifs" and args.negative_control)]
+
+
+def _run_group(name, args):
+    """A group's check records, then a failed one if the library refutes a claim."""
+    try:
+        yield from _GROUPS[name].checks(args)
+    except (StructureError, DegenerateLandmarksError, SelfSimilarityError) as exc:
+        yield _check("%s.%s" % (name, type(exc).__name__), False, str(exc))
 
 
 def cmd_verify(args) -> int:
     checks = []
+    t0 = time.perf_counter()
     for name in _verify_groups(args):
-        checks += _LEVELS[name](args)
+        for c in _run_group(name, args):
+            t1 = time.perf_counter()  # the wall time goes to stderr only
+            print("[%s] %-34s margin %+.3e  %7.3f s  %s"
+                  % ("ok " if c["passed"] else "FAIL", c["name"], c["margin"],
+                     t1 - t0, c["detail"]), file=sys.stderr)
+            checks.append(c)
+            t0 = t1
 
     passed = all(c["passed"] for c in checks)
-    for c in checks:
-        print("[%s] %-34s margin %+.3e  %s"
-              % ("ok " if c["passed"] else "FAIL", c["name"], c["margin"],
-                 c["detail"]), file=sys.stderr)
     report = {
         "i": args.i, "alpha": args.alpha, "level": args.level,
         "negative_control": args.negative_control, "passed": passed,
@@ -725,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "run module cross-checks, report margins", cmd_verify,
             [family, angle, parity, out])
-    p.add_argument("--level", choices=list(_LEVELS),
+    p.add_argument("--level", choices=list(_GROUPS),
                    default="full", help="cumulative check groups")
     p.add_argument("--negative-control", action="store_true",
                    help="derive with the turn parity deliberately swapped; the "

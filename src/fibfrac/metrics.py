@@ -164,16 +164,16 @@ def _normalized_curve(i: int, n: int, alpha: float,
     return pts
 
 
-def convergence_report(i: int, alpha: float, k_list) -> tuple:
+def convergence_report(i: int, alpha: float, k_list,
+                       parity: str = "even-left") -> tuple:
     """d_H between the normalized curves of order n(k) and n(k) + 6, per k.
 
     n(k) = turtle.similar_order(i, k): 6k + 5 for even i and 6k + 3 for odd i.
     """
-    return tuple(
-        hausdorff_distance(_normalized_curve(i, turtle.similar_order(i, k), alpha),
-                           _normalized_curve(i, turtle.similar_order(i, k + 1), alpha))
-        for k in k_list
-    )
+    def curve(m):
+        return _normalized_curve(i, turtle.similar_order(i, m), alpha, parity=parity)
+
+    return tuple(hausdorff_distance(curve(k), curve(k + 1)) for k in k_list)
 
 
 def continuity_probe(i: int, alpha: float, delta: float, depth: int) -> float:

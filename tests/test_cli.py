@@ -210,6 +210,19 @@ def test_stats_json_writes_null_for_infinite_aspect(capsysbinary):
     assert doc["aspect"] is None
     assert doc["width"] == 8.0
 
+    # a nested report, as verify writes one, nulls every non-finite margin
+    report = {"passed": False, "checks": [
+        {"name": name, "margin": m, "detail": ""}
+        for name, m in (("a", math.nan), ("b", math.inf), ("c", -math.inf),
+                        ("d", 0.1 + 0.2))]}
+    # the bytes of the parse-and-dump round trip this writer replaced
+    want = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None),
+                      indent=2) + "\n"
+    data = cli._json_bytes(report)
+    assert data == want.encode("ascii")
+    doc = json.loads(data, parse_constant=reject)
+    assert [c["margin"] for c in doc["checks"]] == [None, None, None, 0.1 + 0.2]
+
 
 def test_stats_text_lines(capsysbinary):
     assert run(["stats", "--n", "8"]) == 0
@@ -258,6 +271,8 @@ def test_dim_bad_angle_list(tmp_path):
     # an empty list is an error, not the default grid
     assert run(["dim", "--alphas", ""]) == 2
     assert run(["sweep", "--alphas", "", "--out", str(tmp_path / "s")]) == 2
+    # so is a --what that names no output; neither makes the --out directory
+    assert run(["sweep", "--what", ",", "--out", str(tmp_path / "s")]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -403,6 +418,76 @@ def test_verify_negative_control(tmp_path, capsysbinary):
     assert rep["passed"] is False
     failed = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert failed == ["ifs.similarity_fit"]
+    # stderr has one line per check, passed or failed, with its wall time
+    line = re.compile(r"\[(ok |FAIL)\] (\S+) +margin [-+]\d\.\d{3}e[-+]\d+"
+                      r" +\d+\.\d{3} s  ")
+    err = capsysbinary.readouterr().err.decode()
+    assert [line.match(ln).groups() for ln in err.splitlines()] == [
+        ("ok " if c["passed"] else "FAIL", c["name"]) for c in rep["checks"]]
+
+
+def test_verify_reports_a_false_structural_claim(tmp_path, monkeypatch):
+    # a corrupt f_10 breaks the five-part decomposition, which five_partite
+    # raises as a StructureError; verify reports it as a failed check
+    concat = words.word_concat
+
+    def corrupt(i, n):
+        w = concat(i, n)
+        if n != 10:
+            return w
+        bits = w.bits().copy()
+        bits[-1] ^= 1
+        return words.Word(bits)
+
+    monkeypatch.setattr(words, "word_concat", corrupt)
+    out = tmp_path / "r.json"
+    assert run(["verify", "--level", "words", "--out", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep["passed"] is False
+    assert rep["checks"][-1]["name"] == "words.StructureError"
+    assert "f_10^[2]" in rep["checks"][-1]["detail"]
+    assert [c["name"] for c in rep["checks"] if c["passed"]] == [
+        "words.small_words_exact"]
+
+
+def _draw_spy(monkeypatch):
+    """Patch turtle.draw to record (length, parity) of each word it draws."""
+    draw, drawn = turtle.draw, []
+
+    def spy(w, alpha, unit=1.0, parity="even-left"):
+        drawn.append((words.as_bits(w).size, parity))
+        return draw(w, alpha, unit=unit, parity=parity)
+
+    monkeypatch.setattr(turtle, "draw", spy)
+    return drawn
+
+
+def test_full_convergence_draws_with_the_given_parity(monkeypatch):
+    drawn = _draw_spy(monkeypatch)
+    args = argparse.Namespace(i=2, alpha=math.pi / 3, parity="odd-left")
+    assert all(c["passed"] for c in cli._checks_full(args))
+    assert {parity for _, parity in drawn} == {"odd-left"}
+
+
+@pytest.mark.parametrize("i", [2, 3, 4, 5])
+def test_group_orders_are_the_longest_words_drawn(monkeypatch, i):
+    # _validate caps a run by these orders before any work starts
+    drawn = _draw_spy(monkeypatch)
+    args = argparse.Namespace(i=i, alpha=math.pi / 2, parity="even-left",
+                              negative_control=False)
+    for name, (checks, order) in cli._GROUPS.items():
+        drawn.clear()
+        assert all(c["passed"] for c in checks(args)), name
+        want = None if order is None else words.fib_length(i, order(i))
+        assert max((size for size, _ in drawn), default=None) == want, name
+
+    drawn.clear()
+    ifsmod.derive_ifs(i, math.pi / 2)
+    ref = turtle.similar_order(i, 2)
+    assert max(size for size, _ in drawn) == words.fib_length(i, ref)
+    for argv in (["ifs"], ["attractor"], ["sweep", "--what", "ifs", "--out", "s"]):
+        assert cli._longest_order(
+            cli.build_parser().parse_args(argv + ["--i", str(i)])) == ref
 
 
 # ---------------------------------------------------------------------------
