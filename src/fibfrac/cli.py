@@ -11,17 +11,16 @@ Subcommands:
   sweep      batch dim/ifs/attractor outputs over an alpha grid
 
 Angles parse as decimal radians or as "pi/k"-style fraction literals
-("pi/2", "2pi/12", "0.7853981633974483").  File output is atomic (temp
-file in the destination directory, then rename), so a failing run never
-leaves a partial file; a symlink is written through, and a FIFO or device
-directly.  Identical configurations produce byte-identical output,
-including SVG.
+("pi/2", "2pi/12", "0.7853981633974483").  Every output is written a block
+at a time as it is formatted.  File output is atomic (temp file in the
+destination directory, then rename), so a failing run never leaves a
+partial file; a symlink is written through, and a FIFO or device directly.
+Identical configurations produce byte-identical output, including SVG.
 
 Exit codes: 0 success, 1 failed verification check, 2 usage error.
 """
 
 import argparse
-import io
 import json
 import math
 import os
@@ -47,7 +46,7 @@ CURVE_COLOR = "#1a5fb4"
 BBOX_COLOR = "#e01b24"
 
 # drawing cap: a drawn segment takes about 18 bytes (its 16-byte vertex, its
-# symbol and turn), 360 MB at the cap; an SVG takes about 2.4 times its size
+# symbol and turn), 360 MB at the cap; an SVG's viewBox adds 8 more (a flipped y)
 MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
@@ -59,10 +58,10 @@ MAX_WORD_CHARS = 200_000_000
 # RSS writing CSV and at 201 MB writing JSON, which holds every row as
 # Python objects
 MAX_GRID = 100_000
-# rows per % call in points_csv.  Larger blocks are no faster, and their
-# strings, freed between the output buffer's growth steps, leave heap holes
-# the buffer cannot grow into: on a 2-core Linux box `export` peaked at
-# 136-140 MB RSS with 8,192-row blocks and at 105-111 MB with 1,024.
+# rows per points_csv call and per write, and points per SVG path block: an
+# output is held one block, a few hundred KB, at a time.  Larger blocks are no
+# faster: on a 2-core Linux box a depth-8 attractor's CSV took 0.5-0.7 s at
+# 1,024 to 16,384 rows a block alike.
 CSV_BLOCK_ROWS = 1_024
 
 _PI_LITERAL = re.compile(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?\Z")
@@ -93,14 +92,15 @@ def parse_angle_list(text: str) -> tuple:
     return vals
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write data to path as open(path, "wb") would, but never half-written.
+def atomic_write(path: str, blocks) -> None:
+    """Write byte blocks to path as open(path, "wb") would, never half-written.
 
-    A regular file, new or existing, is written to a temp file in its own
-    directory and renamed over it.  A symlink is followed: its target is
-    written and the link kept.  A path that exists and is neither a regular
-    file nor a directory, such as a FIFO or a device, is written directly.
-    An existing file keeps its mode; a new one gets 0o666 less the umask.
+    Blocks are written as the iterable yields them.  A regular file, new or
+    existing, fills a temp file in its own directory, renamed over it after
+    the last block.  A symlink is followed: its target is written and the
+    link kept.  A path that exists and is neither a regular file nor a
+    directory, such as a FIFO or a device, is written directly.  An existing
+    file keeps its mode; a new one gets 0o666 less the umask.
     """
     dest = os.path.realpath(path)
     try:
@@ -109,7 +109,7 @@ def atomic_write(path: str, data: bytes) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(dest, "wb") as fh:
-            fh.write(data)
+            fh.writelines(blocks)
         return
     tmp = os.path.join(os.path.dirname(dest),
                        ".fibfrac-tmp-" + secrets.token_hex(8))
@@ -119,7 +119,7 @@ def atomic_write(path: str, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             if mode is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-            fh.write(data)
+            fh.writelines(blocks)
         os.replace(tmp, dest)
     except BaseException:
         try:
@@ -129,12 +129,12 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def _deliver(data: bytes, out) -> None:
+def _deliver(blocks, out) -> None:
     if out is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(blocks)
         sys.stdout.buffer.flush()
     else:
-        atomic_write(out, data)
+        atomic_write(out, blocks)
 
 
 def _json_bytes(obj) -> bytes:
@@ -155,37 +155,38 @@ def _json_bytes(obj) -> bytes:
 def points_csv(pts: np.ndarray) -> bytes:
     """One "%.17g,%.17g" line per row of an (N, 2) array, as np.savetxt writes.
 
-    Rows are formatted a block at a time; a row whose bits equal the row
-    before it (the attractor lists about half its points twice in a row)
-    reuses that row's line instead of being formatted again.
+    A row whose bits equal the row before reuses that line instead of being
+    formatted again: the attractor lists about half its points twice in a row.
     """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("points must have shape (N, 2), got %r" % (pts.shape,))
     bits = pts.view(np.uint64)  # 0.0 and -0.0 print differently
-    buf = io.BytesIO()
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    rows = pts[new]
+    text = (b"%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    if len(rows) < len(pts):
+        lines = np.array(text.splitlines(keepends=True), dtype=object)
+        text = b"".join(lines[np.cumsum(new) - 1].tolist())
+    return text
+
+
+def _csv_blocks(pts: np.ndarray):
+    """points_csv of each CSV_BLOCK_ROWS-row slice, made as it is iterated."""
     for start in range(0, len(pts), CSV_BLOCK_ROWS):
-        block = pts[start:start + CSV_BLOCK_ROWS]
-        b = bits[start:start + CSV_BLOCK_ROWS]
-        new = np.ones(len(block), dtype=bool)
-        new[1:] = (b[1:] != b[:-1]).any(axis=1)
-        rows = block[new]
-        text = (b"%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-        if len(rows) < len(block):
-            lines = np.array(text.splitlines(keepends=True), dtype=object)
-            text = b"".join(lines[np.cumsum(new) - 1].tolist())
-        buf.write(text)
-    return buf.getvalue()
+        yield points_csv(pts[start:start + CSV_BLOCK_ROWS])
 
 
-def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> bytes:
-    """SVG 1.1 document with the polyline as a single path element.
+def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False):
+    """SVG 1.1 document with the polyline as a single path element, in blocks.
 
     The viewBox is fitted to the data with a 2 percent margin; the y axis is
     flipped so the drawing appears in the usual orientation.  Stroke width
     defaults to 0.5 percent of the viewBox width.  Number formatting is fixed
     so equal inputs give byte-identical files.  The points must form a
-    non-empty (N, 2) array of finite coordinates whose viewBox is finite.
+    non-empty (N, 2) array of finite coordinates whose viewBox is finite,
+    checked at the call; the returned iterator formats each block as it goes.
     """
     pts = turtle._as_points(pts)
     if len(pts) == 0:
@@ -209,26 +210,25 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False) -> byte
     def g(v: float) -> str:
         return format(v, ".9g")
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'viewBox="%s %s %s %s">\n' % (g(vx), g(vy), g(vw), g(vh)),
-    ]
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'viewBox="%s %s %s %s">\n' % (g(vx), g(vy), g(vw), g(vh)))
     if bbox:
-        parts.append(
-            '<rect x="%s" y="%s" width="%s" height="%s" fill="none" '
-            'stroke="%s" stroke-width="%s"/>\n'
-            % (g(x0), g(y0), g(x1 - x0), g(y1 - y0), BBOX_COLOR, g(0.5 * sw))
-        )
-    parts.append('<path d="M')
-    path = []  # formatted a block at a time; "%.9g" % v == format(v, ".9g")
-    for start in range(0, len(pts), CSV_BLOCK_ROWS):
-        block = pts[start:start + CSV_BLOCK_ROWS] * (1.0, -1.0)  # same bits as -y
-        path.append((b"L%.9g %.9g" * len(block)) % tuple(block.ravel().tolist()))
-    path[0] = path[0][1:]  # the first point is the M, not an L
+        head += ('<rect x="%s" y="%s" width="%s" height="%s" fill="none" '
+                 'stroke="%s" stroke-width="%s"/>\n'
+                 % (g(x0), g(y0), g(x1 - x0), g(y1 - y0), BBOX_COLOR, g(0.5 * sw)))
     tail = ('" fill="none" stroke="%s" stroke-width="%s" stroke-linejoin="round" '
             'stroke-linecap="round"/>\n</svg>\n' % (CURVE_COLOR, g(sw)))
-    return b"".join(["".join(parts).encode("ascii"), *path, tail.encode("ascii")])
+
+    def blocks():
+        # the first point is the M, every later one an L; "%.9g" % v == g(v)
+        yield (head + '<path d="M%s %s' % (g(pts[0, 0]), g(-pts[0, 1]))).encode("ascii")
+        for start in range(1, len(pts), CSV_BLOCK_ROWS):
+            block = pts[start:start + CSV_BLOCK_ROWS] * (1.0, -1.0)  # same bits as -y
+            yield (b"L%.9g %.9g" * len(block)) % tuple(block.ravel().tolist())
+        yield tail.encode("ascii")
+
+    return blocks()
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -334,7 +334,7 @@ def _validate(args) -> None:
 def cmd_word(args) -> int:
     w = words.word_concat(args.i, args.n)
     data = words.to_text(w) if args.format == "txt" else words.to_binary(w)
-    _deliver(data, args.out)
+    _deliver([data], args.out)
     return EXIT_OK
 
 
@@ -342,10 +342,10 @@ def cmd_curve(args) -> int:
     w = words.word_concat(args.i, args.n)
     p = turtle.draw(w, args.alpha, unit=args.unit, parity=args.parity)
     if args.format == "svg":
-        data = polyline_svg(p.points, stroke_width=args.stroke_width, bbox=args.bbox)
+        blocks = polyline_svg(p.points, stroke_width=args.stroke_width, bbox=args.bbox)
     else:
-        data = points_csv(p.points)
-    _deliver(data, args.out)
+        blocks = _csv_blocks(p.points)
+    _deliver(blocks, args.out)
     return EXIT_OK
 
 
@@ -365,7 +365,7 @@ def cmd_stats(args) -> int:
         lines = ["%s %s" % (k, v if isinstance(v, int) else ifsmod._fmt(v))
                  for k, v in rows]
         data = ("\n".join(lines) + "\n").encode("ascii")
-    _deliver(data, args.out)
+    _deliver([data], args.out)
     return EXIT_OK
 
 
@@ -390,7 +390,7 @@ def cmd_dim(args) -> int:
         data = _json_bytes([dict(zip(_DIM_COLUMNS, row)) for row in rows])
     else:
         data = _dim_csv(rows)
-    _deliver(data, args.out)
+    _deliver([data], args.out)
     if args.plot is not None:
         graph = np.array([[a, s] for a, _, _, _, s in rows])
         atomic_write(args.plot, polyline_svg(graph, stroke_width=0.01))
@@ -399,14 +399,14 @@ def cmd_dim(args) -> int:
 
 def cmd_ifs(args) -> int:
     F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
-    _deliver((ifsmod.to_json(F) + "\n").encode("ascii"), args.out)
+    _deliver([(ifsmod.to_json(F) + "\n").encode("ascii")], args.out)
     return EXIT_OK
 
 
 def cmd_attractor(args) -> int:
     F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=args.depth)
-    _deliver(points_csv(pts), args.out)
+    _deliver(_csv_blocks(pts), args.out)
     return EXIT_OK
 
 
@@ -634,7 +634,7 @@ def cmd_verify(args) -> int:
         "negative_control": args.negative_control, "passed": passed,
         "checks": checks,
     }
-    _deliver(_json_bytes(report), args.out)
+    _deliver([_json_bytes(report)], args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -642,17 +642,17 @@ def cmd_sweep(args) -> int:
     """Per-alpha outputs over a grid, each file written as soon as it is made."""
     if "dim" in args.what:
         atomic_write(os.path.join(args.out, "dim.csv"),
-                     _dim_csv(_dim_rows(args.alphas)))
+                     [_dim_csv(_dim_rows(args.alphas))])
     if "ifs" not in args.what and "attractor" not in args.what:
         return EXIT_OK
     for idx, a in enumerate(args.alphas):
         F = ifsmod.derive_ifs(args.i, a, parity=args.parity)
         if "ifs" in args.what:
             atomic_write(os.path.join(args.out, "ifs_%02d.json" % idx),
-                         ifsmod.to_json(F).encode("ascii"))
+                         [ifsmod.to_json(F).encode("ascii")])
         if "attractor" in args.what:
             atomic_write(os.path.join(args.out, "attractor_%02d.csv" % idx),
-                         points_csv(ifsmod.attractor(F, depth=args.depth)))
+                         _csv_blocks(ifsmod.attractor(F, depth=args.depth)))
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
-"""Point-set metric kernels: Hausdorff distance, box counting, probes.
+"""Point-set metric kernels: Hausdorff distance, box counting, convergence.
 
 The box-count dimension is the slope over a ladder of scales the caller
-gives; the probes return plain Hausdorff distances between normalized
-curves, or between attractors at nearby angles.  Both kernels are exact, and
-both use structure their inputs already have.
+gives; the convergence report returns plain Hausdorff distances between
+normalized curves of successive orders.  Both kernels are exact, and both
+use structure their inputs already have.
 
 - Repeated points.  The attractor lists every junction point twice, in
   adjacent rows.  Neither a Hausdorff distance nor a box count depends on
@@ -174,12 +174,3 @@ def convergence_report(i: int, alpha: float, k_list,
         return _normalized_curve(i, turtle.similar_order(i, m), alpha, parity=parity)
 
     return tuple(hausdorff_distance(curve(k), curve(k + 1)) for k in k_list)
-
-
-def continuity_probe(i: int, alpha: float, delta: float, depth: int) -> float:
-    """d_H between the attractors derived at alpha and alpha + delta."""
-    a_ifs = ifs_mod.derive_ifs(i, alpha)
-    b_ifs = ifs_mod.derive_ifs(i, alpha + delta)
-    a_pts = ifs_mod.attractor(a_ifs, depth=depth)
-    b_pts = ifs_mod.attractor(b_ifs, depth=depth)
-    return hausdorff_distance(a_pts, b_pts)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,20 +167,6 @@ def word_by_substitution(i: int, n: int) -> Word:
     return Word(bits)
 
 
-def two_adic_distance(w, v) -> float:
-    """2^(-L) where L is the longest common prefix length; 0 for identical words."""
-    a, b = as_bits(w), as_bits(v)
-    m = min(a.size, b.size)
-    neq = a[:m] != b[:m]
-    if neq.any():
-        length = int(np.argmax(neq))
-    elif a.size == b.size:
-        return 0.0
-    else:
-        length = m
-    return float(2.0 ** (-length))
-
-
 def l_word_bits(i: int, n: int) -> np.ndarray:
     """Symbols of l_n^[i]: f_n with its last two symbols swapped."""
     _as_int(n, "order n of an l-word", 2)
@@ -230,25 +215,6 @@ def five_partite(i: int, n: int) -> FivePartite:
                 % (start, end, n, i)
             )
     return FivePartite(word=w, parts=parts)
-
-
-PalindromeSplit = namedtuple("PalindromeSplit", ["p", "ab"])
-
-
-def palindrome_decomposition(w) -> PalindromeSplit:
-    """Split a word as p * ab where p is a palindrome and ab is "01" or "10"."""
-    bits = as_bits(w)
-    if bits.size < 2:
-        raise DomainError("need at least two symbols, got %d" % bits.size)
-    p, tail = bits[:-2], bits[-2:]
-    if tail[0] == tail[1]:
-        raise StructureError(
-            "last two symbols are %d%d, expected 01 or 10" % (tail[0], tail[1])
-        )
-    if not np.array_equal(p, p[::-1]):
-        raise StructureError("leading part is not a palindrome")
-    ab = "01" if tail[1] == 1 else "10"
-    return PalindromeSplit(p=p, ab=ab)
 
 
 def contains_11(w) -> bool:

@@ -219,8 +219,10 @@ def test_11_normalized_curves_approach_attractor():
 def test_12_attractor_continuity_in_alpha():
     grid = [k * math.pi / 20 for k in range(1, 10)] + [PI2 - 0.01]
     for alpha in grid:
-        d = metrics.continuity_probe(2, alpha, 0.01, 7)
+        # d_H between the depth-7 attractors derived at alpha and alpha + 0.01
         pts = ifsmod.attractor(ifsmod.derive_ifs(2, alpha), depth=7)
+        near = ifsmod.attractor(ifsmod.derive_ifs(2, alpha + 0.01), depth=7)
+        d = metrics.hausdorff_distance(pts, near)
         diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
         assert d < 0.05 * diam, alpha
 

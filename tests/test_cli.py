@@ -637,7 +637,8 @@ def _joined_svg_path(pts):
     return "M" + "L".join("%s %s" % (g(x), g(y)) for x, y in zip(pts[:, 0], -pts[:, 1]))
 
 
-def _svg_path(doc):
+def _svg_path(blocks):
+    doc = b"".join(blocks)
     return re.search(rb'<path d="([^"]*)"', doc).group(1).decode("ascii")
 
 
@@ -676,10 +677,16 @@ def _block_case(n, seed=0):
     return pts
 
 
+def _streamed_csv(pts):
+    # the bytes the CLI writes: points_csv of each CSV_BLOCK_ROWS-row slice
+    return b"".join(cli._csv_blocks(pts))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS,
                                cli.CSV_BLOCK_ROWS + 1, 65_535, 65_536, 65_537])
 def test_points_csv_block_sizes(n):
     pts = _block_case(n)
+    assert _streamed_csv(pts) == _savetxt_csv(pts)
     assert cli.points_csv(pts) == _savetxt_csv(pts)
 
 
@@ -688,9 +695,9 @@ def test_points_csv_runs_across_block_boundary():
     pts = _block_case(2 * b + 3, seed=1)
     pts[b - 5:b + 7] = pts[b - 5]
     pts[2 * b - 1:] = [-0.0, 0.0]
-    assert cli.points_csv(pts) == _savetxt_csv(pts)
+    assert _streamed_csv(pts) == _savetxt_csv(pts)
     same = np.full((b + 1, 2), 0.1)
-    assert cli.points_csv(same) == b"0.10000000000000001,0.10000000000000001\n" * (b + 1)
+    assert _streamed_csv(same) == b"0.10000000000000001,0.10000000000000001\n" * (b + 1)
 
 
 def test_points_csv_signed_zeros_are_distinct_rows():
@@ -754,17 +761,63 @@ def test_svg_path_block_sizes(n):
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
 
 
-@pytest.mark.parametrize("n", [25, 28])
-def test_svg_temporaries_are_a_small_multiple_of_the_output(n):
-    # the formatted blocks and their join, plus the flipped y extents
-    curve = turtle.draw(words.word_concat(2, n), math.pi / 3).points
+def _streaming_peaks(make_blocks):
+    """Traced peaks of making the block iterator, and of draining it block by block."""
     tracemalloc.start()
     try:
-        svg = cli.polyline_svg(curve)
-        peak = tracemalloc.get_traced_memory()[1]
+        blocks = make_blocks()
+        call = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        size = sum(len(b) for b in blocks)
+        drain = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(svg) + 2 * 2**20
+    return call, drain, size
+
+
+@pytest.mark.parametrize("n", [25, 28])
+def test_svg_blocks_stream_in_fixed_memory(n):
+    curve = turtle.draw(words.word_concat(2, n), math.pi / 3).points
+    call, drain, size = _streaming_peaks(lambda: cli.polyline_svg(curve))
+    # the call holds its flipped y copy (8 bytes a point) for the viewBox;
+    # the drain holds one formatted block at a time, however long the output
+    assert call <= 8 * len(curve) + 2**16
+    assert drain <= 2**19 < size
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+def test_csv_blocks_stream_in_fixed_memory(depth):
+    pts = ifsmod.attractor(ifsmod.derive_ifs(2, math.pi / 2), depth=depth)
+    call, drain, size = _streaming_peaks(lambda: cli._csv_blocks(pts))
+    assert call <= 2**10
+    assert drain <= 2**19 < size
+
+
+def test_failing_block_leaves_the_old_file(tmp_path, monkeypatch):
+    # depth 4 has 1,250 points, two blocks; the second one fails
+    target = tmp_path / "att.csv"
+    target.write_bytes(b"old contents\n")
+    real, calls = cli.points_csv, []
+
+    def second_call_fails(pts):
+        calls.append(len(pts))
+        if len(calls) == 2:
+            raise DomainError("second block fails")
+        return real(pts)
+
+    monkeypatch.setattr(cli, "points_csv", second_call_fails)
+    assert run(["attractor", "--depth", "4", "--out", str(target)]) == 2
+    assert calls == [cli.CSV_BLOCK_ROWS, 1_250 - cli.CSV_BLOCK_ROWS]
+    assert target.read_bytes() == b"old contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["att.csv"]
+
+
+def test_bad_svg_points_write_nothing_to_stdout(capsysbinary):
+    bad = turtle.Polyline(points=np.array([[0.0, 0.0], [np.nan, 1.0]]),
+                          final_heading=0.0, turn_count=0)
+    with mock.patch.object(cli.turtle, "draw", return_value=bad):
+        assert run(["curve", "--n", "5"]) == 2
+    assert capsysbinary.readouterr().out == b""
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Hausdorff kernel exactness, box counting, and the convergence probes."""
+"""Hausdorff kernel exactness, box counting, and the convergence report."""
 
 import math
 import os
@@ -324,7 +324,9 @@ def test_convergence_at_alpha_zero():
 
 
 def test_continuity_probe_domain():
+    # acceptance test 12's probe derives at alpha and alpha + delta: past
+    # either end of [0, pi/2] the derivation refuses the angle
     with pytest.raises(DomainError):
-        metrics.continuity_probe(2, PI2, 0.01, 4)
+        ifsmod.derive_ifs(2, PI2 + 0.01)
     with pytest.raises(DomainError):
-        metrics.continuity_probe(2, -0.1, 0.01, 4)
+        ifsmod.derive_ifs(2, -0.1)

