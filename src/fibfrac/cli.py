@@ -30,6 +30,7 @@ import stat
 import sys
 import time
 from collections import namedtuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +47,7 @@ CURVE_COLOR = "#1a5fb4"
 BBOX_COLOR = "#e01b24"
 
 # drawing cap: a drawn segment takes about 18 bytes (its 16-byte vertex, its
-# symbol and turn), 360 MB at the cap; an SVG's viewBox adds 8 more (a flipped y)
+# symbol and turn), 360 MB at the cap
 MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
@@ -55,13 +56,14 @@ MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 # which holds each symbol twice: in the word and in the output
 MAX_WORD_CHARS = 200_000_000
 # alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 92 MB
-# RSS writing CSV and at 201 MB writing JSON, which holds every row as
-# Python objects
+# RSS writing CSV, which holds every row as Python objects, and at 40 MB
+# writing JSON, made a block of rows at a time
 MAX_GRID = 100_000
-# rows per points_csv call and per write, and points per SVG path block: an
-# output is held one block, a few hundred KB, at a time.  Larger blocks are no
-# faster: on a 2-core Linux box a depth-8 attractor's CSV took 0.5-0.7 s at
-# 1,024 to 16,384 rows a block alike.
+# rows per points_csv call and per write, points per SVG path block and rows
+# per dim JSON block: an output is held one block, a few hundred KB, at a
+# time.  A larger block repeats more of its values, so it formats faster: on a
+# 2-core Linux box a depth-8 attractor's CSV took 0.39 s at 1,024 rows a
+# block, 0.35 s at 4,096 and 0.29 s at 16,384.
 CSV_BLOCK_ROWS = 1_024
 
 _PI_LITERAL = re.compile(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?\Z")
@@ -152,24 +154,26 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("ascii")
 
 
-def points_csv(pts: np.ndarray) -> bytes:
-    """One "%.17g,%.17g" line per row of an (N, 2) array, as np.savetxt writes.
+def _format_rows(pts: np.ndarray, fmt: bytes, row: bytes) -> bytes:
+    """The template row once per row of pts, its two %s filled with fmt of the row's values.
 
-    A row whose bits equal the row before reuses that line instead of being
-    formatted again: the attractor lists about half its points twice in a row.
+    Each distinct value, told apart by its bits since 0.0 and -0.0 print
+    differently, is formatted once: a block of curve or attractor points at
+    pi/2 holds few distinct coordinates.
     """
+    if len(pts) == 0:
+        return b""
+    u, inv = np.unique(pts.view(np.uint64), return_inverse=True)
+    text = ((fmt + b"\n") * len(u)) % tuple(u.view(np.float64).tolist())
+    return (row * len(pts)) % itemgetter(*inv.ravel().tolist())(text.split(b"\n"))
+
+
+def points_csv(pts: np.ndarray) -> bytes:
+    """One "%.17g,%.17g" line per row of an (N, 2) array, as np.savetxt writes."""
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("points must have shape (N, 2), got %r" % (pts.shape,))
-    bits = pts.view(np.uint64)  # 0.0 and -0.0 print differently
-    new = np.ones(len(pts), dtype=bool)
-    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    rows = pts[new]
-    text = (b"%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    if len(rows) < len(pts):
-        lines = np.array(text.splitlines(keepends=True), dtype=object)
-        text = b"".join(lines[np.cumsum(new) - 1].tolist())
-    return text
+    return _format_rows(pts, b"%.17g", b"%s,%s\n")
 
 
 def _csv_blocks(pts: np.ndarray):
@@ -191,10 +195,16 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False):
     pts = turtle._as_points(pts)
     if len(pts) == 0:
         raise DomainError("an SVG polyline needs at least one point")
-    xs = pts[:, 0]
-    ys = -pts[:, 1]
+    xs, ys = pts[:, 0], pts[:, 1]
     x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    # the flipped y's extents, taken without a flipped copy.  Only the bbox
+    # rect can print a zero's sign (y0, and y1 - y0 when both are zero); there
+    # it is the zero min(-y) picks, which hangs on numpy's reduction order, so
+    # that case alone flips a copy.
+    y0, y1 = -float(ys.max()), -float(ys.min())
+    if bbox and y0 == 0.0:
+        flipped = -ys
+        y0, y1 = float(flipped.min()), float(flipped.max())
     span = max(x1 - x0, y1 - y0)
     if span == 0.0:
         span = 1.0
@@ -225,7 +235,7 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False):
         yield (head + '<path d="M%s %s' % (g(pts[0, 0]), g(-pts[0, 1]))).encode("ascii")
         for start in range(1, len(pts), CSV_BLOCK_ROWS):
             block = pts[start:start + CSV_BLOCK_ROWS] * (1.0, -1.0)  # same bits as -y
-            yield (b"L%.9g %.9g" * len(block)) % tuple(block.ravel().tolist())
+            yield _format_rows(block, b"%.9g", b"L%s %s")
         yield tail.encode("ascii")
 
     return blocks()
@@ -384,15 +394,24 @@ def _dim_csv(rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _dim_json_blocks(alphas):
+    """_json_bytes of the table as a list of row objects, CSV_BLOCK_ROWS rows at a time."""
+    for start in range(0, len(alphas), CSV_BLOCK_ROWS):
+        rows = _dim_rows(alphas[start:start + CSV_BLOCK_ROWS])
+        # strip the block's own "[\n" and "\n]\n": its items are indented
+        # as the whole list's are
+        items = _json_bytes([dict(zip(_DIM_COLUMNS, row)) for row in rows])[2:-3]
+        yield (b",\n" if start else b"[\n") + items
+    yield b"\n]\n"
+
+
 def cmd_dim(args) -> int:
-    rows = _dim_rows(args.alphas)
     if args.format == "json":
-        data = _json_bytes([dict(zip(_DIM_COLUMNS, row)) for row in rows])
+        _deliver(_dim_json_blocks(args.alphas), args.out)
     else:
-        data = _dim_csv(rows)
-    _deliver([data], args.out)
+        _deliver([_dim_csv(_dim_rows(args.alphas))], args.out)
     if args.plot is not None:
-        graph = np.array([[a, s] for a, _, _, _, s in rows])
+        graph = np.array([[a, analysis.hausdorff_dimension(a)] for a in args.alphas])
         atomic_write(args.plot, polyline_svg(graph, stroke_width=0.01))
     return EXIT_OK
 

@@ -137,7 +137,8 @@ def _as_points(p, name: str = "points") -> np.ndarray:
     pts = np.asarray(p, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError("%s must be an (N, 2) point array" % name)
-    if not np.isfinite(pts).all():
+    # min and max carry any NaN and reach any inf, with no temporary array
+    if pts.size and not (math.isfinite(pts.min()) and math.isfinite(pts.max())):
         raise DomainError("%s must hold only finite coordinates" % name)
     return pts
 

@@ -258,6 +258,18 @@ def test_dim_json_nulls_nonfinite(tmp_path):
     assert rows[1]["dimension"] == pytest.approx(1.6379382096763471)
 
 
+@pytest.mark.parametrize("n", [1, 2, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                               2 * cli.CSV_BLOCK_ROWS + 3])
+def test_dim_json_blocks_match_one_dump(n):
+    # alpha = 0, whose aspect limit is infinite, opens every block
+    alphas = tuple(np.linspace(0.0, math.pi / 2, n).tolist())
+    alphas = tuple(0.0 if k % cli.CSV_BLOCK_ROWS == 0 else a for k, a in enumerate(alphas))
+    want = cli._json_bytes([dict(zip(cli._DIM_COLUMNS, row))
+                            for row in cli._dim_rows(alphas)])
+    assert b"".join(cli._dim_json_blocks(alphas)) == want
+    assert want.count(b'"aspect_limit": null') == -(-n // cli.CSV_BLOCK_ROWS)
+
+
 def test_dim_plot_output(tmp_path):
     plot = tmp_path / "s.svg"
     assert run(["dim", "--out", str(tmp_path / "d.csv"),
@@ -661,9 +673,24 @@ _finite_float = st.one_of(st.sampled_from(EDGE_FLOATS),
 _signed_zero = st.sampled_from([0.0, -0.0])
 
 
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# a small pool, so that a value recurs within a block, in rows far apart and
+# in both columns: the writers format each distinct value of a block once
+_POOL = EDGE_FLOATS + [math.inf, -math.inf, 4e-320, -1.5e-310, 2.2250738585072009e-308,
+                       _nan(0x7FF8000000000000), _nan(0xFFF8000000000000),
+                       _nan(0x7FF8000000000ABC), _nan(0xFFF8000000000123)]
+_SVG_POOL = [v for v in _POOL if abs(v) <= 1e300]
+_pooled = st.sampled_from(_POOL)
+_svg_pooled = st.sampled_from(_SVG_POOL)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_rows_with_runs(st.one_of(st.tuples(_any_float, _any_float),
-                                 st.tuples(_signed_zero, _signed_zero))))
+                                 st.tuples(_signed_zero, _signed_zero),
+                                 st.tuples(_pooled, _pooled))))
 def test_points_csv_matches_savetxt(pts):
     assert cli.points_csv(pts) == _savetxt_csv(pts)
 
@@ -700,6 +727,16 @@ def test_points_csv_runs_across_block_boundary():
     assert _streamed_csv(same) == b"0.10000000000000001,0.10000000000000001\n" * (b + 1)
 
 
+def test_pooled_values_stream_across_block_boundaries():
+    # every pool value falls in every block, on both sides of each boundary
+    b = cli.CSV_BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    pts = rng.choice(np.array(_POOL), size=(2 * b + 3, 2))
+    assert _streamed_csv(pts) == _savetxt_csv(pts)
+    pts = rng.choice(np.array(_SVG_POOL), size=(2 * b + 3, 2))
+    assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
+
+
 def test_points_csv_signed_zeros_are_distinct_rows():
     pts = np.array([[0.0, 0.0], [-0.0, 0.0], [-0.0, 0.0], [0.0, -0.0],
                     [-0.0, -0.0], [0.0, 0.0]])
@@ -720,7 +757,8 @@ _svg_float = st.one_of(st.sampled_from([v for v in EDGE_FLOATS if abs(v) <= 1e30
 
 
 @settings(max_examples=200, deadline=None)
-@given(_rows_with_runs(st.tuples(_svg_float, _svg_float)).filter(len))
+@given(_rows_with_runs(st.one_of(st.tuples(_svg_float, _svg_float),
+                                 st.tuples(_svg_pooled, _svg_pooled))).filter(len))
 def test_svg_path_matches_per_point_join(pts):
     assert _svg_path(cli.polyline_svg(pts)) == _joined_svg_path(pts)
 
@@ -779,10 +817,31 @@ def _streaming_peaks(make_blocks):
 def test_svg_blocks_stream_in_fixed_memory(n):
     curve = turtle.draw(words.word_concat(2, n), math.pi / 3).points
     call, drain, size = _streaming_peaks(lambda: cli.polyline_svg(curve))
-    # the call holds its flipped y copy (8 bytes a point) for the viewBox;
+    # the call copies no coordinate for the viewBox or the finiteness check;
     # the drain holds one formatted block at a time, however long the output
-    assert call <= 8 * len(curve) + 2**16
+    assert call <= 2**12
     assert drain <= 2**19 < size
+
+
+# the rect prints y0, the least flipped y, and y1 - y0; each zero's sign is
+# the one np.min and np.max of the flipped ys pick.  At nine points numpy's
+# min of -y and max of y break a tie between zeros differently.
+@pytest.mark.parametrize("ys,rect", [
+    ([0.0, -0.0, -1.0], 'y="0" width="2" height="1"'),
+    ([-0.0, 0.0, -1.0], 'y="-0" width="2" height="1"'),
+    ([0.0, -0.0], 'y="0" width="1" height="0"'),
+    ([-0.0, 0.0], 'y="-0" width="1" height="0"'),
+    ([0.0] * 8 + [-0.0], 'y="-0" width="8" height="0"'),
+    ([-0.0] * 8 + [0.0], 'y="0" width="8" height="0"'),
+    ([-1.0] + [0.0] * 7 + [-0.0], 'y="-0" width="8" height="1"'),
+    ([-1.0] + [-0.0] * 7 + [0.0], 'y="0" width="8" height="1"'),
+])
+def test_svg_bbox_keeps_the_sign_of_a_zero_extent(ys, rect):
+    pts = np.column_stack([np.arange(len(ys), dtype=float), ys])
+    doc = b"".join(cli.polyline_svg(pts, bbox=True)).decode("ascii")
+    assert re.search(r'<rect x="0" (y="[^"]*" width="[^"]*" height="[^"]*")',
+                     doc).group(1) == rect
+    assert _svg_path([doc.encode("ascii")]) == _joined_svg_path(pts)
 
 
 @pytest.mark.parametrize("depth", [6, 7])
