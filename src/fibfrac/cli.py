@@ -52,18 +52,17 @@ MAX_SEGMENTS = 20_000_000
 # deepest attractor whose 2 * 5^depth points fit under the same cap
 MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 # word cap: on a 2-core Linux box `word --i 2 --n 40` (f_40^[2], 165M
-# symbols) peaked at 231 MB RSS writing binary and at 350 MB writing text,
-# which holds each symbol twice: in the word and in the output
+# symbols) peaked at 192 MB RSS writing text and binary alike: the word, one
+# byte a symbol, and one block of its output
 MAX_WORD_CHARS = 200_000_000
-# alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 92 MB
-# RSS writing CSV, which holds every row as Python objects, and at 40 MB
-# writing JSON, made a block of rows at a time
+# alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 39 MB
+# RSS writing CSV and 40 MB writing JSON, each made a block of rows at a time
 MAX_GRID = 100_000
 # rows per points_csv call and per write, points per SVG path block and rows
-# per dim JSON block: an output is held one block, a few hundred KB, at a
-# time.  A larger block repeats more of its values, so it formats faster: on a
-# 2-core Linux box a depth-8 attractor's CSV took 0.39 s at 1,024 rows a
-# block, 0.35 s at 4,096 and 0.29 s at 16,384.
+# per dim CSV or JSON block: an output is held one block, a few hundred KB,
+# at a time.  A larger block repeats more of its values, so it formats
+# faster: on a 2-core Linux box a depth-8 attractor's CSV took 0.39 s at
+# 1,024 rows a block, 0.35 s at 4,096 and 0.29 s at 16,384.
 CSV_BLOCK_ROWS = 1_024
 
 _PI_LITERAL = re.compile(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?\Z")
@@ -343,8 +342,7 @@ def _validate(args) -> None:
 
 def cmd_word(args) -> int:
     w = words.word_concat(args.i, args.n)
-    data = words.to_text(w) if args.format == "txt" else words.to_binary(w)
-    _deliver([data], args.out)
+    _deliver((words.to_text if args.format == "txt" else words.to_binary)(w), args.out)
     return EXIT_OK
 
 
@@ -388,10 +386,12 @@ def _dim_rows(alphas) -> list:
 _DIM_COLUMNS = ("alpha", "R", "r_plus", "aspect_limit", "dimension")
 
 
-def _dim_csv(rows) -> bytes:
-    lines = [",".join(_DIM_COLUMNS)]
-    lines += [",".join(ifsmod._fmt(v) for v in row) for row in rows]
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _dim_csv_blocks(alphas):
+    """The table as CSV: its header line, then CSV_BLOCK_ROWS rows at a time."""
+    yield (",".join(_DIM_COLUMNS) + "\n").encode("ascii")
+    for start in range(0, len(alphas), CSV_BLOCK_ROWS):
+        rows = _dim_rows(alphas[start:start + CSV_BLOCK_ROWS])
+        yield "".join(",".join(map(ifsmod._fmt, row)) + "\n" for row in rows).encode("ascii")
 
 
 def _dim_json_blocks(alphas):
@@ -406,10 +406,8 @@ def _dim_json_blocks(alphas):
 
 
 def cmd_dim(args) -> int:
-    if args.format == "json":
-        _deliver(_dim_json_blocks(args.alphas), args.out)
-    else:
-        _deliver([_dim_csv(_dim_rows(args.alphas))], args.out)
+    blocks = _dim_json_blocks if args.format == "json" else _dim_csv_blocks
+    _deliver(blocks(args.alphas), args.out)
     if args.plot is not None:
         graph = np.array([[a, analysis.hausdorff_dimension(a)] for a in args.alphas])
         atomic_write(args.plot, polyline_svg(graph, stroke_width=0.01))
@@ -660,8 +658,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     """Per-alpha outputs over a grid, each file written as soon as it is made."""
     if "dim" in args.what:
-        atomic_write(os.path.join(args.out, "dim.csv"),
-                     [_dim_csv(_dim_rows(args.alphas))])
+        atomic_write(os.path.join(args.out, "dim.csv"), _dim_csv_blocks(args.alphas))
     if "ifs" not in args.what and "attractor" not in args.what:
         return EXIT_OK
     for idx, a in enumerate(args.alphas):

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DomainError, OrderOverflowError, StructureError
 
 _INT64_MAX = 2**63 - 1
+# symbols per to_text and to_binary block: a multiple of 8, so each block
+# packs to whole bytes
+_BLOCK = 1 << 16
 
 # f_n = f_{n-3} f_{n-3} f_{n-6} l_{n-3} l_{n-3}: each part's order offset and
 # whether it is an l-word
@@ -90,7 +93,7 @@ class Word:
 
     def text(self) -> str:
         """Symbols as a '0'/'1' string (no trailing newline)."""
-        return to_text(self)[:-1].decode("ascii")
+        return b"".join(to_text(self))[:-1].decode("ascii")
 
     def __len__(self) -> int:
         return self.symbols.size
@@ -104,7 +107,8 @@ class Word:
         return hash(self.symbols.tobytes())
 
     def __repr__(self):
-        head = self.text() if len(self) <= 40 else self.text()[:37] + "..."
+        head = Word(self.symbols[:40]).text()  # formats 40 symbols at most
+        head = head if len(self) <= 40 else head[:37] + "..."
         return "Word(%r, length=%d)" % (head, len(self))
 
 
@@ -225,12 +229,12 @@ def contains_11(w) -> bool:
     return bool(np.any(bits[1:] & bits[:-1]))
 
 
-def to_text(w: Word) -> bytearray:
-    """Serialize to ASCII '0'/'1' with a trailing newline, in one buffer."""
-    out = bytearray(len(w) + 1)
-    np.add(w.bits(), np.uint8(ord("0")), out=np.frombuffer(out, np.uint8)[:-1])
-    out[-1] = ord("\n")
-    return out
+def to_text(w: Word):
+    """Serialize to ASCII '0'/'1' with a trailing newline, _BLOCK symbols a block."""
+    bits = w.bits()
+    for start in range(0, len(bits), _BLOCK):
+        yield (bits[start:start + _BLOCK] + np.uint8(ord("0"))).tobytes()
+    yield b"\n"
 
 
 def from_text(data: bytes) -> Word:
@@ -239,10 +243,13 @@ def from_text(data: bytes) -> Word:
     return Word(as_bits(body))
 
 
-def to_binary(w: Word) -> bytes:
-    """Serialize to 8-byte little-endian length followed by LSB-first packed bits."""
-    packed = np.packbits(w.bits(), bitorder="little")
-    return b"".join((struct.pack("<Q", len(w)), packed))  # no copy to bytes first
+def to_binary(w: Word):
+    """Serialize to 8-byte little-endian length followed by LSB-first packed
+    bits: yields the header, then the packed bytes of _BLOCK symbols a block."""
+    bits = w.bits()
+    yield struct.pack("<Q", len(bits))
+    for start in range(0, len(bits), _BLOCK):
+        yield np.packbits(bits[start:start + _BLOCK], bitorder="little").tobytes()
 
 
 def from_binary(data: bytes) -> Word:

@@ -31,7 +31,7 @@ WORD_TABLE = {
 
 
 def word_text(i, n):
-    return words.to_text(words.word_concat(i, n)).decode("ascii").rstrip("\n")
+    return words.word_concat(i, n).text()
 
 
 def junction_hexagon(pts, i, n):

@@ -264,10 +264,38 @@ def test_dim_json_blocks_match_one_dump(n):
     # alpha = 0, whose aspect limit is infinite, opens every block
     alphas = tuple(np.linspace(0.0, math.pi / 2, n).tolist())
     alphas = tuple(0.0 if k % cli.CSV_BLOCK_ROWS == 0 else a for k, a in enumerate(alphas))
-    want = cli._json_bytes([dict(zip(cli._DIM_COLUMNS, row))
-                            for row in cli._dim_rows(alphas)])
+    rows = cli._dim_rows(alphas)
+    want = cli._json_bytes([dict(zip(cli._DIM_COLUMNS, row)) for row in rows])
     assert b"".join(cli._dim_json_blocks(alphas)) == want
     assert want.count(b'"aspect_limit": null') == -(-n // cli.CSV_BLOCK_ROWS)
+    # the CSV table joined whole, one line per row
+    lines = [",".join(cli._DIM_COLUMNS)]
+    lines += [",".join(ifsmod._fmt(v) for v in row) for row in rows]
+    want = ("\n".join(lines) + "\n").encode("ascii")
+    assert b"".join(cli._dim_csv_blocks(alphas)) == want
+    assert want.count(b",inf,") == -(-n // cli.CSV_BLOCK_ROWS)
+
+
+# a dim CSV row: five %.17g numbers of at most 24 characters (sign, 17
+# digits, point, exponent), four commas and a newline
+_DIM_ROW_BYTES = 5 * 24 + 5
+
+
+@pytest.mark.parametrize("argv,block", [
+    (["word", "--i", "2", "--n", "28"], words._BLOCK),  # 514,229 symbols
+    (["word", "--i", "2", "--n", "28", "--format", "bin"], words._BLOCK // 8),
+    (["dim", "--grid", "10000"], cli.CSV_BLOCK_ROWS * _DIM_ROW_BYTES),
+    (["sweep", "--grid", "10000", "--what", "dim"], cli.CSV_BLOCK_ROWS * _DIM_ROW_BYTES),
+], ids=["word-txt", "word-bin", "dim-csv", "sweep-dim"])
+def test_outputs_reach_the_writer_in_blocks(argv, block, tmp_path, monkeypatch):
+    real, sizes = cli.atomic_write, []
+
+    def recording(path, blocks):
+        real(path, (sizes.append(len(b)) or b for b in blocks))
+
+    monkeypatch.setattr(cli, "atomic_write", recording)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert max(sizes) <= block and sum(sizes) > 3 * block
 
 
 def test_dim_plot_output(tmp_path):

@@ -28,7 +28,7 @@ SMALL = {
 
 
 def text(w) -> str:
-    return words.to_text(w).decode("ascii").rstrip("\n")
+    return w.text()
 
 
 @pytest.mark.parametrize("i,n", sorted(SMALL))
@@ -189,13 +189,49 @@ def _traced_peak(call):
 
 
 def test_word_and_text_make_no_temporary_copies():
-    # f_30^[2] has 1.35M symbols; the only large allocations are the word
-    # itself and to_text's output
+    # f_30^[2] has 1.35M symbols; the only large allocation is the word
+    # itself, and its serializers hold one block at a time, however long
+    # the output
     n = 30
     w, peak = _traced_peak(lambda: words.word_concat(2, n))
     assert peak <= words.fib_length(2, n) + 65536
-    data, peak = _traced_peak(lambda: words.to_text(w))
-    assert peak <= len(data) + 65536
+    size, drain = _traced_peak(lambda: sum(len(b) for b in words.to_text(w)))
+    assert drain <= 2**18 < size
+    size, drain = _traced_peak(lambda: sum(len(b) for b in words.to_binary(w)))
+    assert drain <= 2**15 < size
+
+
+def test_repr_formats_only_the_symbols_it_shows():
+    assert repr(words.word_concat(2, 5)) == "Word('01001010', length=8)"
+    assert repr(words.Word(words.as_bits("01" * 20))) == (
+        "Word('0101010101010101010101010101010101010101', length=40)")
+    assert repr(words.Word(words.as_bits("01" * 20 + "1"))) == (
+        "Word('0101010101010101010101010101010101010...', length=41)")
+    w = words.word_concat(2, 30)
+    got, peak = _traced_peak(lambda: repr(w))
+    assert got == "Word('0100101001001010010100100101001001010...', length=1346269)"
+    assert peak <= 2**12
+
+
+def _whole_text(w) -> bytes:
+    """to_text's bytes made in one buffer: the symbols plus "0", then a newline."""
+    out = bytearray(len(w) + 1)
+    np.add(w.bits(), np.uint8(ord("0")), out=np.frombuffer(out, np.uint8)[:-1])
+    out[-1] = ord("\n")
+    return bytes(out)
+
+
+def _whole_binary(w) -> bytes:
+    """to_binary's bytes from one packbits of the whole word."""
+    return struct.pack("<Q", len(w)) + np.packbits(w.bits(), bitorder="little").tobytes()
+
+
+@pytest.mark.parametrize("n", [1, words._BLOCK - 1, words._BLOCK, words._BLOCK + 1,
+                               2 * words._BLOCK + 5])
+def test_serializer_blocks_match_whole_array(n):
+    w = words.Word(np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+    assert b"".join(words.to_text(w)) == _whole_text(w)
+    assert b"".join(words.to_binary(w)) == _whole_binary(w)
 
 
 def test_l_word_swaps_last_two():
@@ -274,7 +310,7 @@ def test_text_round_trip():
     for i in (2, 3):
         for n in (1, 4, 9):
             w = words.word_concat(i, n)
-            data = words.to_text(w)
+            data = b"".join(words.to_text(w))
             assert data.endswith(b"\n")
             back = words.from_text(data)
             assert np.array_equal(back.bits(), w.bits())
@@ -282,7 +318,7 @@ def test_text_round_trip():
 
 def test_binary_round_trip_and_header():
     w = words.word_concat(2, 10)
-    blob = words.to_binary(w)
+    blob = b"".join(words.to_binary(w))
     (length,) = struct.unpack("<Q", blob[:8])
     assert length == words.fib_length(2, 10)
     packed = np.frombuffer(blob[8:], dtype=np.uint8)
@@ -295,7 +331,7 @@ def test_binary_round_trip_and_header():
 
 def test_from_binary_rejects_padding_bits():
     w = words.word_concat(2, 6)  # 13 symbols: the last byte has 3 padding bits
-    blob = bytearray(words.to_binary(w))
+    blob = bytearray(b"".join(words.to_binary(w)))
     blob[-1] |= 0x80
     # the symbols are unchanged, but to_binary writes padding bits as 0, so
     # the data is corrupt and would not survive a round trip
