@@ -17,7 +17,8 @@ destination directory, then rename), so a failing run never leaves a
 partial file; a symlink is written through, and a FIFO or device directly.
 Identical configurations produce byte-identical output, including SVG.
 
-Exit codes: 0 success, 1 failed verification check, 2 usage error.
+Exit codes: 0 success, 1 failed verification check, 2 usage error or a
+failed write.
 """
 
 import argparse
@@ -56,7 +57,7 @@ MAX_DEPTH = max(d for d in range(20) if 2 * 5 ** d <= MAX_SEGMENTS)
 # byte a symbol, and one block of its output
 MAX_WORD_CHARS = 200_000_000
 # alpha grid cap: on a 2-core Linux box `dim --grid 100000` peaked at 39 MB
-# RSS writing CSV and 40 MB writing JSON, each made a block of rows at a time
+# RSS writing CSV or JSON, each made a block of rows at a time
 MAX_GRID = 100_000
 # rows per points_csv call and per write, points per SVG path block and rows
 # per dim CSV or JSON block: an output is held one block, a few hundred KB,
@@ -255,7 +256,9 @@ def _check_out_dir(path) -> None:
 
 def _check_alpha(a: float, msg: str) -> float:
     _require(0.0 <= a <= math.pi / 2 + 1e-12, msg % (a,))
-    return min(a, math.pi / 2)
+    # -0.0 is false and becomes 0.0; any other angle is returned itself, so a
+    # 100,000-point grid is not copied
+    return min(a, math.pi / 2) or 0.0
 
 
 def _longest_order(args):
@@ -384,30 +387,28 @@ def _dim_rows(alphas) -> list:
 
 
 _DIM_COLUMNS = ("alpha", "R", "r_plus", "aspect_limit", "dimension")
+# per format: the text before the rows, one row's template, how a value is
+# written, the text between two rows and after the last.  The JSON is the
+# bytes _json_bytes writes for the table as a list of row objects.
+_DIM_FORMATS = {
+    "csv": (",".join(_DIM_COLUMNS) + "\n", ",".join(["%s"] * 5), ifsmod._fmt, "\n", "\n"),
+    "json": ("[\n", "  {\n%s\n  }" % ",\n".join('    "%s": %%s' % c for c in _DIM_COLUMNS),
+             lambda v: float.__repr__(v) if math.isfinite(v) else "null", ",\n", "\n]\n"),
+}
 
 
-def _dim_csv_blocks(alphas):
-    """The table as CSV: its header line, then CSV_BLOCK_ROWS rows at a time."""
-    yield (",".join(_DIM_COLUMNS) + "\n").encode("ascii")
+def _dim_blocks(alphas, fmt):
+    """The table in format fmt, CSV_BLOCK_ROWS rows a block, made as it is iterated."""
+    head, row, value, sep, tail = _DIM_FORMATS[fmt]
     for start in range(0, len(alphas), CSV_BLOCK_ROWS):
         rows = _dim_rows(alphas[start:start + CSV_BLOCK_ROWS])
-        yield "".join(",".join(map(ifsmod._fmt, row)) + "\n" for row in rows).encode("ascii")
-
-
-def _dim_json_blocks(alphas):
-    """_json_bytes of the table as a list of row objects, CSV_BLOCK_ROWS rows at a time."""
-    for start in range(0, len(alphas), CSV_BLOCK_ROWS):
-        rows = _dim_rows(alphas[start:start + CSV_BLOCK_ROWS])
-        # strip the block's own "[\n" and "\n]\n": its items are indented
-        # as the whole list's are
-        items = _json_bytes([dict(zip(_DIM_COLUMNS, row)) for row in rows])[2:-3]
-        yield (b",\n" if start else b"[\n") + items
-    yield b"\n]\n"
+        text = sep.join(row % tuple(map(value, r)) for r in rows)
+        yield ((sep if start else head) + text).encode("ascii")
+    yield tail.encode("ascii")
 
 
 def cmd_dim(args) -> int:
-    blocks = _dim_json_blocks if args.format == "json" else _dim_csv_blocks
-    _deliver(blocks(args.alphas), args.out)
+    _deliver(_dim_blocks(args.alphas, args.format), args.out)
     if args.plot is not None:
         graph = np.array([[a, analysis.hausdorff_dimension(a)] for a in args.alphas])
         atomic_write(args.plot, polyline_svg(graph, stroke_width=0.01))
@@ -658,7 +659,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     """Per-alpha outputs over a grid, each file written as soon as it is made."""
     if "dim" in args.what:
-        atomic_write(os.path.join(args.out, "dim.csv"), _dim_csv_blocks(args.alphas))
+        atomic_write(os.path.join(args.out, "dim.csv"), _dim_blocks(args.alphas, "csv"))
     if "ifs" not in args.what and "attractor" not in args.what:
         return EXIT_OK
     for idx, a in enumerate(args.alphas):
@@ -678,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="i-Fibonacci word curves, their scaling laws, and the "
                     "limiting fractal.",
         epilog="Angles accept radians or pi/k literals. "
-               "Exit codes: 0 ok, 1 failed check, 2 usage.",
+               "Exit codes: 0 ok, 1 failed check, 2 usage or write error.",
     )
     sp = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -768,7 +769,7 @@ def main(argv=None) -> int:
     except SelfSimilarityError as exc:
         print("fibfrac: verification failed: %s" % (exc,), file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except FibfracError as exc:
+    except (FibfracError, OSError) as exc:  # OSError: a failed write
         print("fibfrac: error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE
 

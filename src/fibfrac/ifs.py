@@ -85,6 +85,10 @@ def _fit_complex(src: np.ndarray, dst: np.ndarray):
         if best is None or rms < best[3]:
             best = (a, t, refl, rms)
     a, t, refl, rms = best
+    # finite landmarks far apart can overflow their centered squares
+    if not np.isfinite([a, t, rms]).all():
+        raise DomainError("the similarity fit overflows: a = %r, t = %r, rms = %r"
+                          % (a, t, rms))
     sim = Similarity(
         scale=abs(a),
         rotation=math.atan2(a.imag, a.real),
@@ -340,7 +344,9 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
     Starts from the chord seeds, which lie on the attractor, so every iterate
     stays inside the true hull.  Stops once each new vertex lies within
     1e-14 of the chord length of an old one; vertex positions are compared
-    because round-off edges make the edge normals unreliable.
+    because round-off edges make the edge normals unreliable.  The derived
+    systems converge in at most a few dozen steps; 200 steps without it
+    raise DomainError.
     """
     hull = ifs.seeds()
     for _ in range(200):
@@ -349,8 +355,8 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
         moved = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).max()
         hull = grown
         if moved <= 1e-14 * CHORD_LENGTH:
-            break
-    return hull
+            return hull
+    raise DomainError("the attractor hull has not converged after 200 steps")
 
 
 @dataclass(frozen=True)
@@ -457,8 +463,8 @@ def _finite(v) -> float:
 
 def _map_from_json(m) -> Similarity:
     scale = _finite(m["scale"])
-    if scale <= 0.0:
-        raise ValueError("map scale must be positive, got %r" % (scale,))
+    if not 0.0 < scale < 1.0:
+        raise ValueError("map scale must lie in (0, 1), got %r" % (scale,))
     if not isinstance(m["reflect"], bool):
         raise ValueError("reflect must be true or false, got %r" % (m["reflect"],))
     return Similarity(scale=scale, rotation=_finite(m["rotation"]),
@@ -471,7 +477,7 @@ def from_json(text: str) -> IFS:
 
     Malformed input raises DomainError: a missing key or a wrong type, a
     parity other than "even" or "odd", a non-finite number, an alpha outside
-    [0, pi/2], a scale that is not positive, or other than five maps.
+    [0, pi/2], a scale outside (0, 1), or other than five maps.
     """
     try:
         data = json.loads(text)

@@ -69,7 +69,11 @@ def _directed(queries: np.ndarray, ref: np.ndarray) -> float:
     tree = cKDTree(ref, balanced_tree=balanced, compact_nodes=balanced)
     workers = -1 if queries.shape[0] >= _PARALLEL_QUERIES else 1
     dist, _ = tree.query(queries, k=1, workers=workers)
-    return float(dist.max())
+    worst = float(dist.max())
+    # finite points can lie too far apart for their distance to be finite
+    if not math.isfinite(worst):
+        raise DomainError("a Hausdorff distance overflows: %r" % (worst,))
+    return worst
 
 
 def directed_hausdorff(queries, ref) -> float:

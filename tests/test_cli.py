@@ -266,13 +266,13 @@ def test_dim_json_blocks_match_one_dump(n):
     alphas = tuple(0.0 if k % cli.CSV_BLOCK_ROWS == 0 else a for k, a in enumerate(alphas))
     rows = cli._dim_rows(alphas)
     want = cli._json_bytes([dict(zip(cli._DIM_COLUMNS, row)) for row in rows])
-    assert b"".join(cli._dim_json_blocks(alphas)) == want
+    assert b"".join(cli._dim_blocks(alphas, "json")) == want
     assert want.count(b'"aspect_limit": null') == -(-n // cli.CSV_BLOCK_ROWS)
     # the CSV table joined whole, one line per row
     lines = [",".join(cli._DIM_COLUMNS)]
     lines += [",".join(ifsmod._fmt(v) for v in row) for row in rows]
     want = ("\n".join(lines) + "\n").encode("ascii")
-    assert b"".join(cli._dim_csv_blocks(alphas)) == want
+    assert b"".join(cli._dim_blocks(alphas, "csv")) == want
     assert want.count(b",inf,") == -(-n // cli.CSV_BLOCK_ROWS)
 
 
@@ -897,6 +897,32 @@ def test_failing_block_leaves_the_old_file(tmp_path, monkeypatch):
     assert calls == [cli.CSV_BLOCK_ROWS, 1_250 - cli.CSV_BLOCK_ROWS]
     assert target.read_bytes() == b"old contents\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["att.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_is_a_usage_error(capsys):
+    # every check passes; only the report's write fails
+    assert run(["verify", "--level", "words", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("fibfrac: error: ")
+
+
+def test_a_closed_stdout_is_a_usage_error(monkeypatch, capsys):
+    stdout = mock.Mock()
+    stdout.buffer.writelines.side_effect = BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    assert run(["attractor", "--depth", "2"]) == 2
+    assert capsys.readouterr().err == "fibfrac: error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["stats", "--n", "6", "--alpha=%s"],
+                                  ["ifs", "--alpha=%s"],
+                                  ["dim", "--alphas=%s,pi/2"]])
+def test_negative_zero_alpha_prints_as_zero(argv, capsysbinary):
+    outs = []
+    for zero in ("-0", "0"):
+        assert run([a.replace("%s", zero) for a in argv]) == 0
+        outs.append(capsysbinary.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_bad_svg_points_write_nothing_to_stdout(capsysbinary):

@@ -1,5 +1,6 @@
 """Similarity fitting, IFS derivation, attractor generation, and the OSC."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -108,6 +109,14 @@ def test_fit_rejects_non_finite_landmarks(bad, side, allow_collinear):
     src, dst = (broken, good) if side == "src" else (good, broken)
     with pytest.raises(DomainError):
         ifsmod.fit_similarity(src, dst, allow_collinear=allow_collinear)
+
+
+@pytest.mark.parametrize("allow_collinear", [False, True])
+def test_fit_rejects_landmarks_whose_fit_overflows(allow_collinear):
+    # finite, but their centered squares overflow
+    far = np.array([[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]])
+    with pytest.raises(DomainError):
+        ifsmod.fit_similarity(far, far, allow_collinear=allow_collinear)
 
 
 def test_right_angle_map_table():
@@ -295,6 +304,19 @@ def test_osc_negative_control_duplicate_map(i, alpha):
     assert report.margin <= 0.0
 
 
+def test_unconverged_hull_raises():
+    # with the second map's scale at 0.99 the hull still moves by more than
+    # the stop rule's 1e-14 of the chord after 200 steps
+    system = ifsmod.derive_ifs(2, PI2)
+    m = system.maps
+    slow = dataclasses.replace(m[1], scale=0.99)
+    broken = dataclasses.replace(system, maps=(m[0], slow) + m[2:])
+    with pytest.raises(DomainError):
+        ifsmod._attractor_hull(broken)
+    with pytest.raises(DomainError):
+        ifsmod.verify_osc(broken)
+
+
 def test_json_round_trip_exact():
     system = ifsmod.derive_ifs(2, 0.8)
     back = ifsmod.from_json(ifsmod.to_json(system))
@@ -328,6 +350,8 @@ def _set_map(k, **fields):
     _set_map(1, scale=-0.4),
     _set_map(1, scale=0.0),
     _set_map(1, scale=math.inf),
+    _set_map(1, scale=1.0),
+    _set_map(1, scale=1.5),
     _set_map(2, tx=math.nan),
     _set_map(2, reflect="false"),
     _set_map(1, scale="0.4"),
@@ -335,7 +359,8 @@ def _set_map(k, **fields):
     lambda doc: doc.update(alpha=5.0),
     _set_map(3, ty=10**400),
 ], ids=["no-alpha", "no-tx", "parity", "nan-alpha", "inf-direction", "four-maps",
-        "maps-number", "negative-scale", "zero-scale", "inf-scale", "nan-tx",
+        "maps-number", "negative-scale", "zero-scale", "inf-scale", "unit-scale",
+        "over-unit-scale", "nan-tx",
         "reflect-string", "scale-string", "alpha-bool", "alpha-out-of-domain",
         "huge-int-ty"])
 def test_from_json_rejects_malformed_input(change):

@@ -108,6 +108,15 @@ def test_non_finite_points_rejected(bad):
         metrics.box_counting_dimension(broken, eps_max=0.5, eps_min=0.01, levels=5)
 
 
+def test_overflowing_distance_rejected():
+    # finite points 2e308 apart: their distance is not a float
+    left, right = [[-1e308, 0.0]], [[1e308, 0.0]]
+    with pytest.raises(DomainError):
+        metrics.hausdorff_distance(left, right)
+    with pytest.raises(DomainError):
+        metrics.directed_hausdorff(left, right)
+
+
 def test_import_does_not_load_scipy():
     # scipy is imported by the Hausdorff kernel on first use, not at import
     src = os.path.dirname(os.path.dirname(fibfrac.__file__))
