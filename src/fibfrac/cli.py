@@ -77,12 +77,12 @@ def parse_angle(text: str) -> float:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
         if den == 0.0:
-            raise ValueError("zero denominator in angle %r" % (text,))
+            raise DomainError("zero denominator in angle %r" % (text,))
         return num * math.pi / den
     try:
         return float(s)
     except ValueError:
-        raise ValueError(
+        raise DomainError(
             "cannot parse angle %r; use radians or a pi/k literal" % (text,)
         ) from None
 
@@ -90,7 +90,7 @@ def parse_angle(text: str) -> float:
 def parse_angle_list(text: str) -> tuple:
     vals = tuple(parse_angle(tok) for tok in text.split(",") if tok.strip())
     if not vals:
-        raise ValueError("empty angle list %r" % (text,))
+        raise DomainError("empty angle list %r" % (text,))
     return vals
 
 
@@ -243,14 +243,15 @@ def polyline_svg(pts: np.ndarray, stroke_width=None, bbox: bool = False):
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ValueError(msg)
+        raise DomainError(msg)
 
 
 def _check_out_dir(path) -> None:
     if path is None:
         return
-    _require(not os.path.isdir(path), "output path is a directory: %r" % (path,))
-    d = os.path.dirname(os.path.realpath(path))  # where atomic_write writes
+    dest = os.path.realpath(path)  # where atomic_write writes
+    _require(not os.path.isdir(dest), "output path is a directory: %r" % (path,))
+    d = os.path.dirname(dest)
     _require(os.path.isdir(d), "output directory does not exist: %r" % (d,))
 
 
@@ -277,6 +278,8 @@ def _longest_order(args):
 
 def _validate(args) -> None:
     """Check every flag before any work starts and fill in the derived values.
+
+    Nothing is created here: sweep makes its output directory when it runs.
 
     Commands never re-check inputs.  A subcommand's namespace only holds the
     flags that subcommand declares, so each check runs where its flag exists.
@@ -327,18 +330,12 @@ def _validate(args) -> None:
 
     n = _longest_order(args)
     if n is not None:
-        try:
-            length = words.fib_length(args.i, n)
-        except OverflowError:
-            raise ValueError("f_%d^[%d] is too long to materialize"
-                             % (n, args.i)) from None
+        length = words.fib_length(args.i, n)
         cap = MAX_WORD_CHARS if sub == "word" else MAX_SEGMENTS
         _require(length <= cap, "f_%d^[%d] has %d symbols, over the %d cap"
                  % (n, args.i, length, cap))
 
-    if sub == "sweep":
-        os.makedirs(args.out, exist_ok=True)
-    else:
+    if sub != "sweep":
         _check_out_dir(args.out)
     _check_out_dir(given.get("plot"))
 
@@ -658,6 +655,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Per-alpha outputs over a grid, each file written as soon as it is made."""
+    os.makedirs(args.out, exist_ok=True)
     if "dim" in args.what:
         atomic_write(os.path.join(args.out, "dim.csv"), _dim_blocks(args.alphas, "csv"))
     if "ifs" not in args.what and "attractor" not in args.what:
@@ -761,10 +759,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate(args)
-    except ValueError as exc:  # DomainError subclasses ValueError
-        print("fibfrac: error: %s" % (exc,), file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.handler(args)
     except SelfSimilarityError as exc:
         print("fibfrac: verification failed: %s" % (exc,), file=sys.stderr)

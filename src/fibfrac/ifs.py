@@ -98,14 +98,12 @@ def _fit_complex(src: np.ndarray, dst: np.ndarray):
     return sim, rms
 
 
-def fit_similarity(src, dst, allow_collinear: bool = False):
+def fit_similarity(src, dst):
     """Least-squares similarity carrying src landmarks onto dst landmarks.
 
     Tries reflect = False and True and keeps the smaller RMS residual.
     Returns (Similarity, residual).  Collinear landmark sets leave the
-    reflection undetermined and are rejected unless allow_collinear is set
-    (the fitted in-line map is still well defined and used internally for
-    degenerate angles).
+    reflection undetermined and are rejected.
     """
     src = turtle._as_points(src, "src")
     dst = turtle._as_points(dst, "dst")
@@ -113,10 +111,9 @@ def fit_similarity(src, dst, allow_collinear: bool = False):
         raise DomainError("src and dst must hold the same number of landmarks")
     if src.shape[0] < 3:
         raise DomainError("need at least 3 landmarks, got %d" % src.shape[0])
-    if not allow_collinear:
-        sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
-        if sv[0] == 0.0 or sv[1] <= 1e-9 * sv[0]:
-            raise DegenerateLandmarksError("source landmarks are collinear")
+    sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+    if sv[0] == 0.0 or sv[1] <= 1e-9 * sv[0]:
+        raise DegenerateLandmarksError("source landmarks are collinear")
     return _fit_complex(src, dst)
 
 
@@ -276,7 +273,9 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     src_diam = math.hypot(*np.ptp(src, axis=0))
     maps = []
     for k, part in enumerate(parts):
-        sim, rms = fit_similarity(src, part * scale, allow_collinear=True)
+        # the hexagons are collinear at small angles, where the fitted
+        # in-line map is still well defined
+        sim, rms = _fit_complex(src, part * scale)
         if rms > 1e-6 * src_diam:
             raise SelfSimilarityError(
                 "similarity fit for part %d has residual %.3e (diameter %.3e)"

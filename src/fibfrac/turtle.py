@@ -21,6 +21,7 @@ at most one block's size.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -62,6 +63,10 @@ class Polyline:
 
 
 def _check_alpha(alpha: float) -> None:
+    # True is an int but no angle; a float skips the slower numbers.Real test
+    if not isinstance(alpha, float) and (
+            isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)):
+        raise DomainError("alpha must be a real number, got %r" % (alpha,))
     if not 0.0 <= alpha <= math.pi / 2:
         raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
 

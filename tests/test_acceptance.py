@@ -95,8 +95,7 @@ def test_04_curve_self_similarity_fits():
         ]
         for bits, poly in zip(part_words, polys):
             free = turtle.draw(bits, PI2).points
-            _, rms = ifsmod.fit_similarity(free, poly.points,
-                                           allow_collinear=True)
+            _, rms = ifsmod.fit_similarity(free, poly.points)
             assert rms < 1e-9 * diam, n
 
     # the fitted expansion from one order to the next tends to 1 + sqrt(2):

@@ -41,14 +41,19 @@ def test_parse_angle_literals():
 
 def test_parse_angle_rejects_garbage():
     for bad in ("pie", "pi/0", "1/pi", "", "pi/2x"):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             cli.parse_angle(bad)
 
 
 def test_parse_angle_list():
     assert cli.parse_angle_list("0, pi/2") == (0.0, math.pi / 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         cli.parse_angle_list(" , ")
+
+
+def test_validate_raises_domain_error():
+    with pytest.raises(DomainError):
+        cli._validate(cli.build_parser().parse_args(["dim", "--grid", "1"]))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +555,30 @@ def test_missing_output_directory_is_usage_error(tmp_path):
     ["dim", "--plot", "{dir}"],
     ["verify", "--level", "words", "--out", "{dir}"],
     ["sweep", "--alphas", "pi/2", "--out", "{file}"],
-], ids=["word-out", "curve-csv", "dim-plot", "verify-out", "sweep-out-file"])
-def test_output_path_of_the_wrong_kind_is_usage_error(argv, tmp_path, capsys):
+    # "" resolves to the working directory, which no file can replace
+    ["word", "--i", "2", "--n", "5", "--out", ""],
+    ["dim", "--out", ""],
+    ["dim", "--plot", ""],
+    # sweep makes its directory when it starts; these it cannot make
+    ["sweep", "--what", "dim", "--grid", "3", "--out", "{file}/sub"],
+    ["sweep", "--what", "dim", "--grid", "3", "--out", ""],
+], ids=["word-out", "curve-csv", "dim-plot", "verify-out", "sweep-out-file",
+        "word-out-empty", "dim-out-empty", "dim-plot-empty", "sweep-out-under-file",
+        "sweep-out-empty"])
+def test_output_path_of_the_wrong_kind_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("keep")
+    monkeypatch.chdir(tmp_path)
     argv = [a.format(dir=tmp_path / "d", file=tmp_path / "f") for a in argv]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a run with a bad output path started work")
+
+    monkeypatch.setattr(cli.words, "word_concat", no_work)
+    monkeypatch.setattr(cli, "_dim_blocks", no_work)
     assert run(argv) == 2
-    assert "fibfrac: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("fibfrac: error: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "f"]
     assert list((tmp_path / "d").iterdir()) == []
     assert (tmp_path / "f").read_text() == "keep"

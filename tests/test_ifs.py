@@ -86,7 +86,8 @@ def test_fit_rejects_degenerate_landmarks():
     line = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(DegenerateLandmarksError):
         ifsmod.fit_similarity(line, 2 * line)
-    fit, rms = ifsmod.fit_similarity(line, 2 * line, allow_collinear=True)
+    # derive_ifs fits collinear hexagons at small angles in line
+    fit, rms = ifsmod._fit_complex(line, 2 * line)
     assert rms < 1e-12 and fit.scale == pytest.approx(2.0)
 
 
@@ -100,23 +101,21 @@ def test_fit_input_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("side", ["src", "dst"])
-@pytest.mark.parametrize("allow_collinear", [False, True])
-def test_fit_rejects_non_finite_landmarks(bad, side, allow_collinear):
+def test_fit_rejects_non_finite_landmarks(bad, side):
     # unchecked, NaN landmarks leak numpy's LinAlgError from the SVD
     good = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     broken = good.copy()
     broken[2, 0] = bad
     src, dst = (broken, good) if side == "src" else (good, broken)
     with pytest.raises(DomainError):
-        ifsmod.fit_similarity(src, dst, allow_collinear=allow_collinear)
+        ifsmod.fit_similarity(src, dst)
 
 
-@pytest.mark.parametrize("allow_collinear", [False, True])
-def test_fit_rejects_landmarks_whose_fit_overflows(allow_collinear):
+def test_fit_rejects_landmarks_whose_fit_overflows():
     # finite, but their centered squares overflow
     far = np.array([[0.0, 0.0], [1e300, 0.0], [0.0, 1e300]])
     with pytest.raises(DomainError):
-        ifsmod.fit_similarity(far, far, allow_collinear=allow_collinear)
+        ifsmod.fit_similarity(far, far)
 
 
 def test_right_angle_map_table():

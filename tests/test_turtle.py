@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import turtle, words
+from fibfrac import analysis, ifs as ifsmod, turtle, words
 from fibfrac.errors import DomainError
 
 PI2 = math.pi / 2
@@ -219,6 +219,24 @@ def test_bad_arguments():
         turtle.draw([0.5, 1.7, 0.2], math.pi / 2)
     with pytest.raises(DomainError):  # an empty word checks its parity too
         turtle.turn_count("", parity="sideways")
+
+
+@pytest.mark.parametrize("alpha", [True, "0.5", None, 1j, [0.5], np.array([0.1, 0.2])],
+                         ids=["bool", "str", "none", "complex", "list", "array"])
+def test_angle_of_the_wrong_type_rejected(alpha):
+    # True would pass as 1 rad; the rest would leak TypeError or a bare ValueError
+    for use in (lambda a: turtle.draw("010", a), analysis.characteristic_roots,
+                lambda a: ifsmod.derive_ifs(2, a)):
+        with pytest.raises(DomainError):
+            use(alpha)
+
+
+def test_integer_and_numpy_angles_accepted():
+    for alpha in (1, np.int64(1), np.float32(0.5), np.float64(0.5)):
+        roots = analysis.characteristic_roots(alpha)
+        assert roots == analysis.characteristic_roots(float(alpha))
+        drawn = turtle.draw("010", alpha).points
+        assert np.array_equal(drawn, turtle.draw("010", float(alpha)).points)
 
 
 def test_unit_that_overflows_the_coordinates_rejected():
