@@ -5,7 +5,7 @@ Submodules:
   turtle    drawing rule, curve statistics, bounding boxes
   analysis  closed-form scaling ratio, aspect limit, dimension
   ifs       derived five-map iterated function system and attractor
-  metrics   Hausdorff distance, box counting, convergence report
+  metrics   Hausdorff distance, box counting, collage distance
   cli       command-line front end
 """
 

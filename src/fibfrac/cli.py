@@ -526,18 +526,21 @@ def _checks_ifs(args):
                      "scales against (R, R, R^2, R, R)")
 
     tol = ifsmod.OSC_TOLERANCE
-    err = tol - ifsmod.verify_osc(F).margin
+    osc = ifsmod.verify_osc(F)
+    err = tol - osc.margin
     yield _tol_check("ifs.open_set_condition", err, tol,
                      "hull image overlap or excess %.3g against %.3g" % (err, tol))
 
-    # the paper's claim: the normalized curves tend to the maps' attractor
-    n = _GROUPS["ifs"].order(args.i)
-    curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
-    pts = ifsmod.attractor(F, depth=7)
-    diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    err = metrics.hausdorff_distance(curve, pts)
-    yield _tol_check("ifs.curve_approaches_attractor", err, 0.01 * diam,
-                     "normalized f_%d against the depth-7 attractor" % (n,))
+    # the paper's claim: the normalized curves X tend to the maps' attractor
+    # A.  By the collage theorem c = d_H(X, F(X)) puts d_H(X, A) in
+    # [c / (1 + R), c / (1 - R)], for R the largest map scale
+    n, r = _GROUPS["ifs"].order(args.i), max(m.scale for m in F.maps)
+    c = _collage(F, args, n)
+    bound = c / (1.0 - r)
+    yield _tol_check("ifs.curve_approaches_attractor", bound, 0.01 * osc.diam,
+                     "c = %.4g at f_%d: d_H(f_%d, A) in [%.4g, %.4g]; tolerance "
+                     "0.01 diam(A) = %.4g"
+                     % (c, n, n, c / (1.0 + r), bound, 0.01 * osc.diam))
 
     # dataclass equality compares the maps, alpha, parity and chord direction
     ok = ifsmod.from_json(ifsmod.to_json(F)) == F
@@ -593,10 +596,21 @@ def _checks_full(args):
     yield _tol_check("full.box_count_fit_quality", 1.0 - rep.fit_r2, 0.02,
                      "log-log fit r2")
 
-    dists = metrics.convergence_report(args.i, args.alpha, (1, 2, 3), args.parity)
-    ok = all(b < a for a, b in zip(dists, dists[1:]))
-    yield _check("full.curve_convergence", ok,
-                 "successive normalized curves draw closer")
+    # the rate of the ifs group's limit: f_n(k+1) is two levels of five-part
+    # split past f_n(k), so each collage distance is about R^2 times the last
+    r2 = max(m.scale for m in F.maps) ** 2
+    n = [turtle.similar_order(args.i, k) for k in (1, 2, 3)]
+    c = [_collage(F, args, m) for m in n]
+    q = [b / a / r2 for a, b in zip(c, c[1:])]
+    yield _tol_check("full.curve_convergence", max(abs(x - 1.0) for x in q), 0.5,
+                     "c = %.4g/%.4g/%.4g at f_%d/%d/%d; c_(k+1) / c_k = %.4f/%.4f "
+                     "R^2; tolerance 0.5 on |ratio / R^2 - 1|" % (*c, *n, *q))
+
+
+def _collage(F, args, n: int) -> float:
+    """Collage distance d_H(X, F(X)) of the normalized curve X = f_n."""
+    curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
+    return metrics.collage_distance(F, curve)
 
 
 _Group = namedtuple("_Group", ["checks", "order"])
@@ -610,8 +624,8 @@ _GROUPS = {
     "curves": _Group(_checks_curves, lambda i: 22 if i % 2 == 0 else 24),
     "ifs": _Group(_checks_ifs, lambda i: turtle.similar_order(i, 3)),
     "dim": _Group(_checks_dim, None),
-    # convergence_report's third pair of curves ends at n(4)
-    "full": _Group(_checks_full, lambda i: turtle.similar_order(i, 4)),
+    # the collage rate reads the curves f_n(1) .. f_n(3), as far as ifs does
+    "full": _Group(_checks_full, lambda i: turtle.similar_order(i, 3)),
 }
 
 

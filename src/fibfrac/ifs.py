@@ -301,12 +301,17 @@ def attractor(ifs: IFS, depth: int) -> np.ndarray:
     depth = words._as_int(depth, "depth", 0)
     z = ifs.seeds().view(np.complex128).ravel()  # (re, im) rows as x + iy
     for _ in range(depth):
-        n = z.size
-        images = np.empty(len(ifs.maps) * n, dtype=np.complex128)
-        for k, m in enumerate(ifs.maps):
-            m._apply_complex(z, out=images[k * n:(k + 1) * n])
-        z = images
+        z = _images(ifs, z)
     return z.view(np.float64).reshape(-1, 2)
+
+
+def _images(ifs: IFS, z: np.ndarray) -> np.ndarray:
+    """F(z): the map images of the complex points z, concatenated in map order."""
+    n = z.size
+    images = np.empty(len(ifs.maps) * n, dtype=np.complex128)
+    for k, m in enumerate(ifs.maps):
+        m._apply_complex(z, out=images[k * n:(k + 1) * n])
+    return images
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -360,11 +365,12 @@ def _attractor_hull(ifs: IFS) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OSCReport:
-    """Outcome of the open-set-condition check."""
+    """Outcome of the open-set-condition check; diam is the hull's bounding-box diagonal."""
 
     contained: bool
     pairwise_disjoint: bool
     margin: float
+    diam: float
 
 
 def _width(poly: np.ndarray) -> float:
@@ -393,6 +399,7 @@ def verify_osc(ifs: IFS) -> OSCReport:
     checks passed.
     """
     V = _attractor_hull(ifs)
+    diam = math.hypot(*np.ptp(V, axis=0))
     # a two-vertex hull has width 0 across its own edge
     if _width(V) <= OSC_TOLERANCE:
         s0, s1 = ifs.seeds()
@@ -422,6 +429,7 @@ def verify_osc(ifs: IFS) -> OSCReport:
         contained=contained,
         pairwise_disjoint=disjoint,
         margin=float(margin),
+        diam=float(diam),
     )
 
 

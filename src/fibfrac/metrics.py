@@ -1,9 +1,9 @@
-"""Point-set metric kernels: Hausdorff distance, box counting, convergence.
+"""Point-set metric kernels: Hausdorff distance, box counting, collage distance.
 
 The box-count dimension is the slope over a ladder of scales the caller
-gives; the convergence report returns plain Hausdorff distances between
-normalized curves of successive orders.  Both kernels are exact, and both
-use structure their inputs already have.
+gives; the collage distance d_H(X, F(X)) brackets a set X's distance to the
+attractor of F.  The kernels are exact, and they use structure their inputs
+already have.
 
 - Repeated points.  The attractor lists every junction point twice, in
   adjacent rows.  Neither a Hausdorff distance nor a box count depends on
@@ -168,13 +168,12 @@ def _normalized_curve(i: int, n: int, alpha: float,
     return pts
 
 
-def convergence_report(i: int, alpha: float, k_list,
-                       parity: str = "even-left") -> tuple:
-    """d_H between the normalized curves of order n(k) and n(k) + 6, per k.
+def collage_distance(ifs, pts) -> float:
+    """c = d_H(X, F(X)) for X = pts and F(X) the union of its map images.
 
-    n(k) = turtle.similar_order(i, k): 6k + 5 for even i and 6k + 3 for odd i.
+    With R the largest map scale, X lies between c / (1 + R) and c / (1 - R)
+    of the attractor in Hausdorff distance (the collage theorem).
     """
-    def curve(m):
-        return _normalized_curve(i, turtle.similar_order(i, m), alpha, parity=parity)
-
-    return tuple(hausdorff_distance(curve(k), curve(k + 1)) for k in k_list)
+    pts = np.ascontiguousarray(turtle._as_points(pts, "pts"))
+    images = ifs_mod._images(ifs, pts.view(np.complex128).ravel())
+    return hausdorff_distance(pts, images.view(np.float64).reshape(-1, 2))

@@ -389,7 +389,7 @@ def test_verify_full_level(tmp_path):
     assert check["margin"] >= 0.5
     # the report file holds the bytes verify prints without --out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "7c9fae391d3dff5304dede4529ee02c032a6c3fd1e00c64b206eddb9294ebb49")
+        "4b6968f7fb90e9e8fc1b1a15335819da06dd430388299d8fc9ccd66348d8991f")
 
 
 @pytest.mark.parametrize("alpha", ["pi/6", "pi/3", "pi/2"])
@@ -410,10 +410,11 @@ def test_verify_ifs_every_i(tmp_path, i):
     assert json.loads(out.read_text())["passed"] is True
 
 
-@pytest.mark.parametrize("i,turn,shift", [(2, 0.2, 0.0), (3, -0.2, 0.0),
-                                          (2, 0.0, 0.05), (3, 0.0, -0.05)])
-def test_curve_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
-    # one map turned or moved carries the attractor away from the curves
+_PERTURBATIONS = pytest.mark.parametrize(
+    "i,turn,shift", [(2, 0.2, 0.0), (3, -0.2, 0.0), (2, 0.0, 0.05), (3, 0.0, -0.05)])
+
+
+def _perturb_first_map(monkeypatch, turn, shift):
     derive = ifsmod.derive_ifs
 
     def perturbed(*args, **kwargs):
@@ -425,10 +426,27 @@ def test_curve_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
         return dataclasses.replace(F, maps=(m,) + F.maps[1:])
 
     monkeypatch.setattr(ifsmod, "derive_ifs", perturbed)
+
+
+@_PERTURBATIONS
+def test_curve_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
+    # one map turned or moved carries the attractor away from the curves
+    _perturb_first_map(monkeypatch, turn, shift)
     args = argparse.Namespace(i=i, alpha=math.pi / 2, parity="even-left",
                               negative_control=False)
     check = next(c for c in cli._checks_ifs(args)
                  if c["name"] == "ifs.curve_approaches_attractor")
+    assert not check["passed"]
+
+
+@_PERTURBATIONS
+def test_rate_check_catches_a_perturbed_map(monkeypatch, i, turn, shift):
+    # the curves no longer approach the perturbed maps' attractor, so their
+    # collage distances stop falling by R^2 per step
+    _perturb_first_map(monkeypatch, turn, shift)
+    args = argparse.Namespace(i=i, alpha=math.pi / 2, parity="even-left")
+    check = next(c for c in cli._checks_full(args)
+                 if c["name"] == "full.curve_convergence")
     assert not check["passed"]
 
 

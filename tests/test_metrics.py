@@ -1,4 +1,4 @@
-"""Hausdorff kernel exactness, box counting, and the convergence report."""
+"""Hausdorff kernel exactness, box counting, and the collage distance."""
 
 import math
 import os
@@ -318,18 +318,46 @@ def test_normalized_curve_frame():
     assert np.allclose(mirrored * [-1.0, 1.0], pts, rtol=0.0, atol=1e-12)
 
 
-def test_convergence_distances_decrease():
-    dists = metrics.convergence_report(2, PI2, [1, 2])
-    assert len(dists) == 2
-    assert 0.0 < dists[1] < dists[0]
+@pytest.mark.parametrize("i,n,alpha,parity", [
+    (2, 5, PI2, "even-left"), (2, 11, PI2, "odd-left"), (3, 9, math.pi / 3, "even-left"),
+    (4, 11, 0.0, "even-left"), (5, 9, 1e-3, "odd-left")])
+def test_collage_distance_equals_brute_force(i, n, alpha, parity):
+    system = ifsmod.derive_ifs(i, alpha, parity=parity)
+    x = metrics._normalized_curve(i, n, alpha, parity=parity)
+    fx = np.concatenate([m.apply(x) for m in system.maps])
+    want = max(metrics._brute_directed(x, fx), metrics._brute_directed(fx, x))
+    assert metrics.collage_distance(system, x) == want
+    with pytest.raises(DomainError):
+        metrics.collage_distance(system, np.zeros((0, 2)))
 
 
-def test_convergence_at_alpha_zero():
-    # straight curves of different orders are distinct discrete sets, so the
-    # distances are tiny but positive and still decay geometrically
-    dists = metrics.convergence_report(2, 0.0, [1, 2])
-    assert dists[0] < 0.01
-    assert dists[1] < 0.1 * dists[0]
+def _largest_scale(system):
+    return max(m.scale for m in system.maps)
+
+
+def test_collage_bracket_holds_against_a_fine_cloud():
+    # c / (1 + R) <= d_H(X, A) <= c / (1 - R); the depth-8 cloud lies within
+    # R^8 diam of A, so its distance to X may leave the bracket by that much
+    system = ifsmod.derive_ifs(2, PI2)
+    x = metrics._normalized_curve(2, 17, PI2)
+    c, r = metrics.collage_distance(system, x), _largest_scale(system)
+    att = ifsmod.attractor(system, depth=8)
+    floor = r ** 8 * math.hypot(*np.ptp(att, axis=0))
+    d = metrics.hausdorff_distance(x, att)
+    assert c / (1.0 + r) - floor <= d <= c / (1.0 - r) + floor
+    # the bracket, not the floor, decides: it is narrower than the distance
+    assert floor < c / (1.0 + r) < d < c / (1.0 - r)
+
+
+@pytest.mark.parametrize("alpha", [0.0, PI2])
+def test_collage_distances_fall_by_r_squared(alpha):
+    # n(k + 1) is two levels of the five-part split past n(k); straight
+    # curves at alpha = 0 are distinct discrete sets and follow the same rate
+    system = ifsmod.derive_ifs(2, alpha)
+    c = [metrics.collage_distance(system, metrics._normalized_curve(2, n, alpha))
+         for n in (11, 17, 23)]
+    r2 = _largest_scale(system) ** 2
+    assert [b / a / r2 for a, b in zip(c, c[1:])] == pytest.approx([1.0, 1.0], abs=0.05)
 
 
 def test_continuity_probe_domain():
