@@ -8,8 +8,21 @@ that imports that checkout's own src/, both with the pair's seed (1, 2,
 ...).  The first pair runs PARENT first, the next CHANGE first, and so on,
 so a drift in the host's speed falls on both sides alike.  For each
 end-to-end metric the script prints each side's median and quartiles and
-in how many pairs CHANGE read lower than PARENT.  A run that exits
-non-zero (a failed operation check) stops the script with a non-zero exit.
+in how many pairs CHANGE read lower than PARENT, then one verdict line per
+metric, judged in the direction BENCHMARK.json calls better and against
+its bound:
+
+    gain        CHANGE is better in at least 9 of 10 pairs (ties count for
+                neither side) and its median is better by more than the
+                parent's interquartile range (IQR)
+    regression  CHANGE's median is worse than PARENT's by more than bound
+                times PARENT's median
+    unresolved  PARENT's IQR is wider than that bound, and not every
+                CHANGE run beats every PARENT run
+    level       everything else
+
+A run that exits non-zero (a failed operation check) stops the script with
+a non-zero exit.
 """
 
 import argparse
@@ -56,6 +69,33 @@ def summarize(parent: list, change: list) -> list:
     return lines
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """gain, regression, unresolved or level for one metric's paired runs."""
+    # as costs, so that lower is better whichever way the metric points
+    sign = 1.0 if better == "lower" else -1.0
+    p = [sign * v for v in parent]
+    c = [sign * v for v in change]
+    q1, _, q3 = statistics.quantiles(p, n=4)
+    med_p, med_c = statistics.median(p), statistics.median(c)
+    allowed = bound * abs(med_p)
+    wins = sum(b < a for a, b in zip(p, c))
+    if 10 * wins >= 9 * len(p) and med_p - med_c > q3 - q1:
+        return "gain"
+    if med_c - med_p > allowed:
+        return "regression"
+    if q3 - q1 > allowed and max(c) >= min(p):
+        return "unresolved"
+    return "level"
+
+
+def verdicts(parent: list, change: list, end_to_end: list) -> list:
+    """One verdict line per end-to-end metric the runs report."""
+    return ["verdict %s: %s" % (m["name"], verdict([r[m["name"]] for r in parent],
+                                                   [r[m["name"]] for r in change],
+                                                   m["better"], m["bound"]))
+            for m in end_to_end if m["name"] in parent[0]]
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -71,7 +111,8 @@ def main(argv=None) -> None:
             runs.append(run_once(bench, checkout, args.workload, k + 1))
         print("pair %d: parent %s, change %s" % (k + 1, json.dumps(parent[-1]),
                                                   json.dumps(change[-1])), flush=True)
-    print("\n".join(summarize(parent, change)))
+    print("\n".join(summarize(parent, change) + verdicts(parent, change,
+                                                         bench["end_to_end"])))
 
 
 if __name__ == "__main__":

@@ -286,12 +286,16 @@ def _validate(args) -> None:
     """
     sub, given = args.subcommand, vars(args)
     if sub == "curve":
-        # --svg / --csv are shorthands for --format plus --out
+        # --svg / --csv are shorthands for --format plus --out; --format has
+        # no parser default, so one that names the other format shows here
         _require(args.svg is None or args.csv is None, "give at most one of --svg/--csv")
-        if args.svg is not None:
-            args.format, args.out = "svg", args.svg
-        elif args.csv is not None:
-            args.format, args.out = "csv", args.csv
+        for fmt in ("svg", "csv"):
+            if given[fmt] is not None:
+                _require(args.out is None, "give --%s or --out, not both" % (fmt,))
+                _require(args.format in (None, fmt),
+                         "--%s conflicts with --format %s" % (fmt, args.format))
+                args.format, args.out = fmt, given[fmt]
+        args.format = args.format or "svg"
 
     if "i" in given:
         _require(args.i >= 2, "need i >= 2, got %d" % (args.i,))
@@ -303,8 +307,7 @@ def _validate(args) -> None:
                  "depth must be in 0..%d, got %d" % (MAX_DEPTH, args.depth))
 
     if "unit" in given:
-        _require(0.0 < args.unit < math.inf,
-                 "unit must be positive and finite, got %s" % (args.unit,))
+        turtle._check_unit(args.unit)
     if given.get("stroke_width") is not None:
         _require(0.0 < args.stroke_width < math.inf,
                  "stroke width must be positive and finite")
@@ -727,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="word order, n >= 1")
 
     p = add("curve", "render the drawn curve", cmd_curve,
-            [family, order, angle, unit, parity, out], ("svg", "csv"))
+            [family, order, angle, unit, parity, out])
+    p.add_argument("--format", choices=("svg", "csv"), help="output format (default svg)")
     p.add_argument("--svg", help="shorthand for --format svg --out PATH")
     p.add_argument("--csv", help="shorthand for --format csv --out PATH")
     p.add_argument("--bbox", action="store_true",

@@ -128,16 +128,17 @@ _MIRROR = np.array([[-1.0, 0.0], [0.0, 1.0]])
 class _Skeleton:
     """Exact chord and junction-hexagon recursion for drawings of f_m and l_m.
 
-    Seeds for 7 <= m <= 12 are read off the reference drawing, which has
-    every f_m as a prefix, and off drawings of l_m; higher orders follow
-    from the five-partite assembly.  A part starting at an odd symbol offset
-    sees the position parity flipped, which mirrors its drawing across the
-    initial heading axis and negates its turn count; the bookkeeping here
-    carries both effects exactly.  The junction hexagon of l_m is that of
-    f_m with its last point moved to l_m's endpoint.
+    The f-seeds for 7 <= m <= 12 are read off the reference drawing, which
+    has every f_m as a prefix; higher orders follow from the five-partite
+    assembly.  At every order, l_m (f_m with its last two symbols swapped)
+    takes its chord and turn count from f_m's.  A part starting at an odd
+    symbol offset sees the position parity flipped, which mirrors its
+    drawing across the initial heading axis and negates its turn count; the
+    bookkeeping here carries both effects exactly.  The junction hexagon of
+    l_m is that of f_m with its last point moved to l_m's endpoint.
     """
 
-    def __init__(self, i, alpha, parity, draw_parity, m_max, bits, drawn):
+    def __init__(self, i, alpha, parity, m_max, bits, drawn):
         self.alpha = alpha
         self.sgn = 1 if parity == "even-left" else -1
         # exact ints, past int64 too: only the parities of offsets are used
@@ -146,16 +147,16 @@ class _Skeleton:
         self.K = {}  # net turn count of f_m
         self.Kl = {}
         self.H = {}  # six-point junction hexagons of f_m; H[m][-1] is its chord
-        # step 13 reads orders 10 and 7, the lowest any step reads
+        # the assembly of f_13 reads orders 10 and 7, the lowest any reads
         signs = turtle._turn_signs(bits[: self.L[12]], parity)
         for m in range(7, 13):
             self.K[m] = int(signs[: self.L[m]].sum(dtype=np.int64))
             self.H[m] = drawn[self.cuts(m)]
-            lw = words.l_word_bits(i, m)
-            self.vl[m] = turtle.draw(lw, alpha, parity=draw_parity).points[-1]
-            self.Kl[m] = turtle.turn_count(lw, parity=parity)
+            self._swap_last_two(m)
         for m in range(13, m_max + 1):
-            self._step(m)
+            _, junctions, self.K[m] = self._walk(m)
+            self.H[m] = np.array(junctions)
+            self._swap_last_two(m)
 
     def cuts(self, m):
         """Symbol offsets of f_m's five part starts and its end, exact ints."""
@@ -176,11 +177,9 @@ class _Skeleton:
             turn = turn + (-ksub if flip else ksub)
         return frames, junctions, turn
 
-    def _step(self, m):
+    def _swap_last_two(self, m):
+        """Chord and turn count of l_m from those of f_m."""
         a = self.alpha
-        _, junctions, turn = self._walk(m)
-        self.K[m] = turn
-        self.H[m] = np.array(junctions)
         # l_m differs from f_m only in its last two symbols, so rebuild the
         # last two segments with the swapped symbols at the same positions;
         # a 0 turns by s at position |f_m| - 1 and by -s at |f_m|
@@ -233,14 +232,15 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
                draw_parity: str | None = None) -> IFS:
     """Recover the five maps from the self-similarity of the drawn curve.
 
-    One loop validates the junction recursion against the actually drawn
-    curve at the reference order turtle.similar_order(i, 2): each part's own
+    One loop validates the junction recursion against the one curve drawn,
+    f at the reference order turtle.similar_order(i, 2): each part's own
     junction hexagon must match the drawn vertices to 1e-6 of the curve
     diameter, and part k starts at junction k, so the whole hexagon is
     checked too.  A disagreement raises SelfSimilarityError, which is what a
-    mis-set turn parity triggers.  Passing draw_parity different from parity
-    deliberately constructs that failure (negative control); below alpha of
-    about 1e-5 the swap moves the curve by less than the tolerance.
+    mis-set turn parity triggers.  Drawing that curve with a draw_parity
+    other than parity deliberately constructs that failure (negative
+    control); below alpha of about 1e-5 the swap moves the curve by less
+    than the tolerance.
 
     The similarity parameters are fitted on junction hexagons at the
     converged order turtle.similar_order(i, 24), where the hexagons are
@@ -251,7 +251,7 @@ def derive_ifs(i: int, alpha: float, *, parity: str = "even-left",
     draw_parity = parity if draw_parity is None else draw_parity
     bits = words.word_concat(i, ref).bits()
     drawn = turtle.draw(bits, alpha, parity=draw_parity).points
-    sk = _Skeleton(i, alpha, parity, draw_parity, level, bits, drawn)
+    sk = _Skeleton(i, alpha, parity, level, bits, drawn)
 
     # validate the recursion against the drawn reference curve
     tol = 1e-6 * math.hypot(*np.ptp(drawn, axis=0))

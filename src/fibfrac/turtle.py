@@ -71,11 +71,17 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError("alpha must lie in [0, pi/2], got %r" % (alpha,))
 
 
+def _check_unit(unit: float) -> None:
+    # a subnormal unit keeps too few significant bits for the segment steps
+    if not sys.float_info.min <= unit < math.inf:
+        raise DomainError("unit must be a finite float of at least %r, got %r"
+                          % (sys.float_info.min, unit))
+
+
 def draw(w, alpha: float, unit: float = 1.0, parity: str = "even-left") -> Polyline:
     """Render a word as a polyline; vertex count is word length + 1."""
     _check_alpha(alpha)
-    if not 0.0 < unit < math.inf:
-        raise DomainError("unit must be positive and finite, got %r" % (unit,))
+    _check_unit(unit)
     bits = words.as_bits(w)
     # no coordinate, and no distance between two vertices, exceeds
     # unit * len(w); the extents that curve_stats and polyline_svg add up

@@ -56,3 +56,35 @@ def test_failed_run_stops(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         mod.main(["old", "new", "--workload", "export"])
     assert exc.value.code not in (0, None)
+
+
+def test_verdicts_follow_the_pairs_rule():
+    mod = _load()
+    parent = [1.0 + 0.01 * k for k in range(10)]  # median 1.045, IQR about 0.055
+    change = {
+        "gain": [v - 0.2 for v in parent],
+        "regression": [v + 0.4 for v in parent],
+        # a parent spread wider than the bound hides whatever lies inside it
+        "unresolved": None,
+        "level": [v + 0.005 for v in parent],
+        # ties count for neither side: 8 wins of 10 is no gain
+        "ties": [v - 0.5 for v in parent[:8]] + parent[8:],
+    }
+    noisy = [0.5, 1.5] * 5
+    runs_p = [{name: (noisy if name == "unresolved" else parent)[k] for name in change}
+              for k in range(10)]
+    runs_c = [{name: (noisy[::-1] if name == "unresolved" else change[name])[k]
+               for name in change} for k in range(10)]
+    e2e = [{"name": name, "better": "lower", "bound": 0.25} for name in change]
+    assert mod.verdicts(runs_p, runs_c, e2e + [{"name": "absent", "better": "lower",
+                                                "bound": 0.25}]) == [
+        "verdict gain: gain", "verdict regression: regression",
+        "verdict unresolved: unresolved", "verdict level: level",
+        "verdict ties: level"]
+    # a metric where higher is better reads the same runs the other way round
+    assert mod.verdict(parent, change["regression"], "higher", 0.25) == "gain"
+    assert mod.verdict(change["regression"], parent, "higher", 0.25) == "regression"
+    # a wide parent spread is resolved when every change run beats every
+    # parent run, even with the medians closer than the spread
+    assert mod.verdict(noisy, [0.49] * 10, "lower", 0.25) == "level"
+    assert mod.verdict(noisy, [0.51] * 10, "lower", 0.25) == "unresolved"

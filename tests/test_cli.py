@@ -165,15 +165,32 @@ def test_curve_rejects_conflicting_shorthands(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt, spellings", [
+    ("svg", [["--svg", "{p}"], ["--format", "svg", "--svg", "{p}"], ["--out", "{p}"],
+             ["--format", "svg", "--out", "{p}"]]),
+    ("csv", [["--csv", "{p}"], ["--format", "csv", "--csv", "{p}"],
+             ["--format", "csv", "--out", "{p}"]]),
+])
+def test_curve_agreeing_output_flags_write_the_same_bytes(tmp_path, fmt, spellings):
+    outputs = set()
+    for k, flags in enumerate(spellings):
+        path = tmp_path / ("%d.%s" % (k, fmt))
+        assert run(["curve", "--n", "6"] + [f.format(p=path) for f in flags]) == 0
+        outputs.add(path.read_bytes())
+    assert len(outputs) == 1
+    assert outputs.pop().startswith(b"<?xml") == (fmt == "svg")
+
+
 def test_curve_alpha_out_of_range():
     assert run(["curve", "--n", "6", "--alpha", "2.0"]) == 2
 
 
-# a finite unit can still carry the coordinates past the largest float
+# a finite unit can still carry the coordinates past the largest float, and
+# a subnormal one leaves the segment steps too few bits
 @pytest.mark.parametrize("flags", [["--unit", "inf"], ["--unit", "nan"],
                                    ["--stroke-width", "inf"],
                                    ["--stroke-width", "nan"],
-                                   ["--unit", "1e308"]])
+                                   ["--unit", "1e308"], ["--unit", "1e-320"]])
 def test_curve_non_finite_sizes_are_usage_errors(tmp_path, flags):
     out = tmp_path / "c.csv"
     assert run(["curve", "--n", "5", "--csv", str(out)] + flags) == 2
@@ -580,9 +597,16 @@ def test_missing_output_directory_is_usage_error(tmp_path):
     # sweep makes its directory when it starts; these it cannot make
     ["sweep", "--what", "dim", "--grid", "3", "--out", "{file}/sub"],
     ["sweep", "--what", "dim", "--grid", "3", "--out", ""],
+    # a shorthand with --out, or with a --format naming the other format,
+    # would silently drop one of them
+    ["curve", "--n", "5", "--out", "a.csv", "--svg", "b.svg"],
+    ["curve", "--n", "5", "--csv", "a.csv", "--out", "b.csv"],
+    ["curve", "--n", "5", "--format", "csv", "--svg", "c.svg"],
+    ["curve", "--n", "5", "--format", "svg", "--csv", "c.csv"],
 ], ids=["word-out", "curve-csv", "dim-plot", "verify-out", "sweep-out-file",
         "word-out-empty", "dim-out-empty", "dim-plot-empty", "sweep-out-under-file",
-        "sweep-out-empty"])
+        "sweep-out-empty", "curve-out-and-svg", "curve-csv-and-out",
+        "curve-csv-format-and-svg", "curve-svg-format-and-csv"])
 def test_output_path_of_the_wrong_kind_is_usage_error(argv, tmp_path, capsys, monkeypatch):
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("keep")

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +184,29 @@ def test_seed_drawings_are_prefixes_of_the_reference_drawing(i, parity):
         for m in range(7, 13):
             p = turtle.draw(words.word_concat(i, m), alpha, parity=parity).points
             assert p.tobytes() == ref[:p.shape[0]].tobytes(), (alpha, m)
+
+
+@pytest.mark.parametrize("parity", ["even-left", "odd-left"])
+@pytest.mark.parametrize("i", [2, 3, 4, 5])
+def test_l_word_chords_follow_from_f_words(i, parity):
+    # no l-word is drawn: at every order l_m takes its chord and turn count
+    # from f_m's, which must agree with a drawing of l_m at every order
+    # small enough to draw
+    bits = words.word_concat(i, 12).bits()
+    for alpha in (0.0, 1e-3, math.pi / 6, 1.0, PI2):
+        drawn = turtle.draw(bits, alpha, parity=parity).points
+        sk = ifsmod._Skeleton(i, alpha, parity, 19, bits, drawn)
+        for m in range(7, 20):
+            lw = words.l_word_bits(i, m)
+            want = turtle.draw(lw, alpha, parity=parity).points[-1]
+            assert np.max(np.abs(sk.vl[m] - want)) <= 1e-12 * sk.L[m], (alpha, m)
+            assert sk.Kl[m] == turtle.turn_count(lw, parity=parity), (alpha, m)
+
+
+def test_derive_ifs_draws_one_curve():
+    with mock.patch.object(ifsmod.turtle, "draw", wraps=turtle.draw) as spy:
+        ifsmod.derive_ifs(2, PI2)
+    assert spy.call_count == 1
 
 
 def test_parity_mismatch_detected():

@@ -251,6 +251,19 @@ def test_unit_that_overflows_the_coordinates_rejected():
     assert math.isfinite(st_.w) and math.isfinite(st_.h)
 
 
+def test_subnormal_unit_rejected():
+    # subnormal steps keep too few bits: at 5e-324 the aspect of f_12 read
+    # 4.14 against 2.85
+    w = words.word_concat(2, 12)
+    for unit in (5e-324, 1e-310):
+        with pytest.raises(DomainError):
+            turtle.draw(w, 1.0, unit=unit)
+    # the smallest normal unit still measures the curve's true aspect
+    aspect = turtle.curve_stats(turtle.draw(w, 1.0, unit=sys.float_info.min)).aspect
+    assert aspect == pytest.approx(turtle.curve_stats(turtle.draw(w, 1.0)).aspect,
+                                   rel=1e-12)
+
+
 @pytest.mark.parametrize("points", [
     [[-1e308, 0.0], [1e308, 0.0]],  # the chord overflows
     [[0.0, -1e308], [0.0, 1e308], [1.0, -1e308]],  # the height overflows
