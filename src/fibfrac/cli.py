@@ -455,7 +455,7 @@ _SMALL_WORDS = {
 }
 
 
-def _checks_words(args):
+def _checks_words(args, memo=None):
     bad = [(i, n) for (i, n), s in sorted(_SMALL_WORDS.items())
            if words.word_concat(i, n).text() != s]
     yield _check("words.small_words_exact", not bad,
@@ -473,7 +473,7 @@ def _checks_words(args):
     yield _check("words.last_two_alternation", ok, "suffix 01 for even n, 10 for odd n")
 
 
-def _checks_curves(args):
+def _checks_curves(args, memo=None):
     w12 = words.word_concat(args.i, 12)
     p = turtle.draw(w12, args.alpha, parity=args.parity)
     ok = p.points.shape[0] == words.fib_length(args.i, 12) + 1
@@ -510,7 +510,7 @@ def _checks_curves(args):
                  "axis-aligned box at pi/2, n = %d" % (n_box,))
 
 
-def _checks_ifs(args):
+def _checks_ifs(args, memo=None):
     draw_parity = args.parity
     if args.negative_control:
         draw_parity = turtle.PARITIES[1 - turtle.PARITIES.index(args.parity)]
@@ -538,7 +538,7 @@ def _checks_ifs(args):
     # A.  By the collage theorem c = d_H(X, F(X)) puts d_H(X, A) in
     # [c / (1 + R), c / (1 - R)], for R the largest map scale
     n, r = _GROUPS["ifs"].order(args.i), max(m.scale for m in F.maps)
-    c = _collage(F, args, n)
+    c = _collage(F, args, n, memo)
     bound = c / (1.0 - r)
     yield _tol_check("ifs.curve_approaches_attractor", bound, 0.01 * osc.diam,
                      "c = %.4g at f_%d: d_H(f_%d, A) in [%.4g, %.4g]; tolerance "
@@ -551,7 +551,7 @@ def _checks_ifs(args):
                  "17 significant digits survive the round trip")
 
 
-def _checks_dim(args):
+def _checks_dim(args, memo=None):
     grid = np.linspace(0.0, math.pi / 2, 200)
     svals = [analysis.hausdorff_dimension(a) for a in grid]
     worst = max(abs(4.0 * R ** s + R ** (2.0 * s) - 1.0)
@@ -585,7 +585,7 @@ def _checks_dim(args):
                      "20 random point-set pairs")
 
 
-def _checks_full(args):
+def _checks_full(args, memo=None):
     F = ifsmod.derive_ifs(args.i, args.alpha, parity=args.parity)
     pts = ifsmod.attractor(F, depth=8)
     diam = float(math.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
@@ -603,23 +603,31 @@ def _checks_full(args):
     # split past f_n(k), so each collage distance is about R^2 times the last
     r2 = max(m.scale for m in F.maps) ** 2
     n = [turtle.similar_order(args.i, k) for k in (1, 2, 3)]
-    c = [_collage(F, args, m) for m in n]
+    c = [_collage(F, args, m, memo) for m in n]
     q = [b / a / r2 for a, b in zip(c, c[1:])]
     yield _tol_check("full.curve_convergence", max(abs(x - 1.0) for x in q), 0.5,
                      "c = %.4g/%.4g/%.4g at f_%d/%d/%d; c_(k+1) / c_k = %.4f/%.4f "
                      "R^2; tolerance 0.5 on |ratio / R^2 - 1|" % (*c, *n, *q))
 
 
-def _collage(F, args, n: int) -> float:
-    """Collage distance d_H(X, F(X)) of the normalized curve X = f_n."""
-    curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
-    return metrics.collage_distance(F, curve)
+def _collage(F, args, n: int, memo=None) -> float:
+    """Collage distance d_H(X, F(X)) of the normalized curve X = f_n.
+
+    memo holds one verify run's distances; the run's args fix the curve's
+    family, angle and parity, so (F, n) names one.  None means a fresh memo.
+    """
+    memo = {} if memo is None else memo
+    if (F, n) not in memo:
+        curve = metrics._normalized_curve(args.i, n, args.alpha, parity=args.parity)
+        memo[F, n] = metrics.collage_distance(F, curve)
+    return memo[F, n]
 
 
 _Group = namedtuple("_Group", ["checks", "order"])
 # the check groups, in the order --level counts them, each with the order of
 # the longest word it draws at family i; words and dim draw only fixed
-# orders, whatever --i is
+# orders, whatever --i is.  A group's checks take the run's args and the
+# run's collage memo (see _collage)
 _GROUPS = {
     "words": _Group(_checks_words, None),
     # for odd i the chord ratio still oscillates at n = 22 (2.6e-3 off at
@@ -627,7 +635,8 @@ _GROUPS = {
     "curves": _Group(_checks_curves, lambda i: 22 if i % 2 == 0 else 24),
     "ifs": _Group(_checks_ifs, lambda i: turtle.similar_order(i, 3)),
     "dim": _Group(_checks_dim, None),
-    # the collage rate reads the curves f_n(1) .. f_n(3), as far as ifs does
+    # the collage rate reads the curves f_n(1) .. f_n(3), as far as ifs
+    # does; in one run it takes the ifs group's c at f_n(3) from the memo
     "full": _Group(_checks_full, lambda i: turtle.similar_order(i, 3)),
 }
 
@@ -640,19 +649,19 @@ def _verify_groups(args) -> list:
             if k <= last or (name == "ifs" and args.negative_control)]
 
 
-def _run_group(name, args):
+def _run_group(name, args, memo):
     """A group's check records, then a failed one if the library refutes a claim."""
     try:
-        yield from _GROUPS[name].checks(args)
+        yield from _GROUPS[name].checks(args, memo)
     except (StructureError, DegenerateLandmarksError, SelfSimilarityError) as exc:
         yield _check("%s.%s" % (name, type(exc).__name__), False, str(exc))
 
 
 def cmd_verify(args) -> int:
-    checks = []
+    checks, memo = [], {}  # the memo lives for this run only
     t0 = time.perf_counter()
     for name in _verify_groups(args):
-        for c in _run_group(name, args):
+        for c in _run_group(name, args, memo):
             t1 = time.perf_counter()  # the wall time goes to stderr only
             print("[%s] %-34s margin %+.3e  %7.3f s  %s"
                   % ("ok " if c["passed"] else "FAIL", c["name"], c["margin"],

@@ -54,11 +54,22 @@ def _distinct_pointset(pts, name: str) -> np.ndarray:
 
 
 def _brute_directed(queries: np.ndarray, ref: np.ndarray) -> float:
+    """Directed Hausdorff distance over every pair: the k-d tree's reference.
+
+    dx*dx + dy*dy has the bits of the squared (block, ref, 2) difference
+    tensor summed over its last axis, as numpy squares by x*x and sums two
+    terms as x0 + x1; the two 2-D matrices hold no more than that tensor.
+    """
     worst = 0.0
     block = max(4_000_000 // ref.shape[0], 1)
     for b0 in range(0, queries.shape[0], block):
-        d2 = ((queries[b0:b0 + block, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(d2.min(axis=1).max()))
+        q = queries[b0:b0 + block]
+        dx = q[:, 0, None] - ref[None, :, 0]
+        dy = q[:, 1, None] - ref[None, :, 1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        worst = max(worst, float(dx.min(axis=1).max()))
     return math.sqrt(worst)
 
 

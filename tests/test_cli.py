@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibfrac import cli, ifs as ifsmod, turtle, words
+from fibfrac import cli, ifs as ifsmod, metrics, turtle, words
 from fibfrac.errors import DomainError
 
 
@@ -407,6 +407,34 @@ def test_verify_full_level(tmp_path):
     # the report file holds the bytes verify prints without --out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "4b6968f7fb90e9e8fc1b1a15335819da06dd430388299d8fc9ccd66348d8991f")
+
+
+def _collage_spy():
+    return mock.patch.object(metrics, "collage_distance", wraps=metrics.collage_distance)
+
+
+def test_verify_computes_each_collage_distance_once_per_run(tmp_path):
+    # full.curve_convergence takes its c at f_n(3) from the ifs group's check;
+    # the memo lives for one run, so the next run computes its own
+    out = tmp_path / "r.json"
+    with _collage_spy() as spy:
+        for argv, calls in [(["--level", "full"], 3), (["--level", "full"], 6),
+                            (["--level", "full", "--i", "3"], 9),
+                            (["--level", "ifs"], 10)]:
+            assert run(["verify", *argv, "--out", str(out)]) == 0
+            assert spy.call_count == calls, argv
+
+
+def test_negative_control_shares_no_collage_distance(tmp_path):
+    # at 1e-6 the swapped parity fits other maps, whose c at f_23 is 1.548e-05
+    # against the full group's 1.525e-05: the memo is keyed on the maps
+    out = tmp_path / "r.json"
+    with _collage_spy() as spy:
+        assert run(["verify", "--level", "full", "--negative-control",
+                    "--alpha", "1e-6", "--out", str(out)]) == 0
+    assert spy.call_count == 4
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e0ef80f76187fba7f8ed4bfe61c0b5224e5e25b0b21b0b2f3cd988e7d613d451")
 
 
 @pytest.mark.parametrize("alpha", ["pi/6", "pi/3", "pi/2"])

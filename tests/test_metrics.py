@@ -186,6 +186,33 @@ def test_directed_equals_brute_force_property(q, r):
     assert metrics.directed_hausdorff(q, q) == 0.0
 
 
+# coordinates from 1e-5 to 1e5 in size, either sign
+WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-5, 5))
+SETS = st.one_of(pointsets(), hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 60), st.just(2)), elements=WIDE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SETS, SETS)
+def test_brute_reference_keeps_the_tensor_sums_bits(q, r):
+    # _brute_directed's 2-D difference matrices give the bits of the sum over
+    # the squared 3-D difference tensor that brute_directed writes out, so
+    # tests that compare against it may use ==
+    assert metrics._brute_directed(q, r) == brute_directed(q, r)
+
+
+def test_brute_reference_across_blocks():
+    # 2,500 queries against 4,001 points take blocks of 999, 999 and 502
+    # rows; the farthest query lies in the last one
+    rng = np.random.default_rng(28)
+    q = rng.normal(size=(2500, 2)) * 10.0 ** rng.integers(-5, 5, size=(2500, 1))
+    q[-1] = (3e5, -2e5)
+    r = rng.normal(size=(4001, 2))
+    # the tensor form row by row, which keeps the test's memory small
+    d2 = max(float(((p - r) ** 2).sum(axis=1).min()) for p in q)
+    assert metrics._brute_directed(q, r) == math.sqrt(d2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(pointsets(), pointsets(), pointsets())
 def test_hausdorff_metric_property(a, b, c):
